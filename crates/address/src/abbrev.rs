@@ -53,6 +53,19 @@ fn lookup_directional(token: &str) -> Option<Directional> {
         .find(|&d| directional_variants(d).contains(&token))
 }
 
+/// Folds one lowercase alphanumeric token to its canonical form (idempotent).
+fn fold(token: &str) -> &str {
+    if let Some(s) = lookup_suffix(token) {
+        suffix_variants(s)[0]
+    } else if let Some(d) = lookup_directional(token) {
+        directional_variants(d)[0]
+    } else if UNIT_MARKERS.contains(&token) {
+        "apt"
+    } else {
+        token
+    }
+}
+
 /// Normalizes free-form address text into canonical lowercase tokens:
 /// punctuation stripped, suffixes and directionals folded to their USPS
 /// abbreviation, unit markers folded to `apt`.
@@ -60,51 +73,37 @@ fn lookup_directional(token: &str) -> Option<Directional> {
 /// `"742 NORTH Evergreen Terrace, Unit 2B"` →
 /// `["742", "n", "evergreen", "ter", "apt", "2b"]`.
 pub fn normalize_tokens(text: &str) -> Vec<String> {
-    text.split(|c: char| c.is_whitespace() || c == ',' || c == '.')
-        .filter(|t| !t.is_empty())
-        .map(|raw| {
-            // A leading '#' is a unit marker ("#3"); any other '#' is noise.
-            let marker = raw.starts_with('#');
-            let token: String = raw
-                .chars()
-                .filter(char::is_ascii_alphanumeric)
-                .collect::<String>()
-                .to_ascii_lowercase();
-            (marker, token)
-        })
-        .filter(|(marker, t)| *marker || !t.is_empty())
-        .flat_map(|(marker, token)| {
-            // Fold a single token to its canonical form (idempotent).
-            fn fold(token: String) -> String {
-                if let Some(s) = lookup_suffix(&token) {
-                    suffix_variants(s)[0].to_string()
-                } else if let Some(d) = lookup_directional(&token) {
-                    directional_variants(d)[0].to_string()
-                } else if UNIT_MARKERS.contains(&token.as_str()) {
-                    "apt".to_string()
-                } else {
-                    token
-                }
-            }
-            if marker {
-                // "#3" -> ["apt", "3"]; a bare "#" -> ["apt"]. The unit text
-                // folds through the same rules so normalization stays
-                // idempotent ("#av" -> ["apt", "ave"] on every pass).
-                let mut out = vec!["apt".to_string()];
-                if !token.is_empty() {
-                    out.push(fold(token));
-                }
-                out
-            } else {
-                vec![fold(token)]
-            }
-        })
+    normalize_line(text)
+        .split_whitespace()
+        .map(str::to_string)
         .collect()
 }
 
-/// Normalized single-string form (tokens joined by single spaces).
+/// Normalized single-string form (tokens joined by single spaces), built
+/// in one buffer: it runs on every index insert and every lookup.
 pub fn normalize_line(text: &str) -> String {
-    normalize_tokens(text).join(" ")
+    let mut line = String::with_capacity(text.len() + 1);
+    let mut token = String::new();
+    for raw in text.split(|c: char| c.is_whitespace() || c == ',' || c == '.') {
+        // A leading '#' is a unit marker ("#3" -> "apt 3", a bare "#" ->
+        // "apt"); any other '#' is noise. The unit text folds through the
+        // same rules so normalization stays idempotent ("#av" -> "apt ave").
+        if raw.starts_with('#') {
+            line.push_str("apt ");
+        }
+        token.clear();
+        token.extend(
+            raw.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase()),
+        );
+        if !token.is_empty() {
+            line.push_str(fold(&token));
+            line.push(' ');
+        }
+    }
+    line.pop(); // the last token's separator
+    line
 }
 
 /// Extracts the 5-digit zip code from an address line, if present (the last

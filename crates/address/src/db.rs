@@ -10,6 +10,7 @@
 //! each block group's addresses, with a floor of thirty samples (capped by
 //! the group's size) so block-group medians are statistically meaningful.
 
+use crate::index::AddressIndex;
 use crate::model::StreetAddress;
 use crate::noise::{render_noisy, NoiseProfile};
 use crate::street::StreetNamer;
@@ -46,6 +47,7 @@ pub struct AddressDb {
     city_name: String,
     records: Vec<AddressRecord>,
     by_bg: Vec<Vec<usize>>,
+    index: AddressIndex,
 }
 
 /// Fraction of records that are multi-dwelling units.
@@ -69,8 +71,8 @@ impl AddressDb {
         let mut records: Vec<AddressRecord> = Vec::with_capacity(city.street_addresses());
         let mut by_bg: Vec<Vec<usize>> = vec![Vec::new(); n_bg];
         // Canonical lines must be city-unique (normalized): an ISP's address
-        // database has one row per deliverable address.
-        let mut seen = std::collections::HashSet::with_capacity(city.street_addresses());
+        // database has one row per deliverable address, one index entry each.
+        let mut index = AddressIndex::default();
 
         for (bg, bg_slots) in by_bg.iter_mut().enumerate() {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
@@ -86,32 +88,10 @@ impl AddressDb {
                 // House numbers ascend along each street; bump until the
                 // canonical line is city-unique (streets recur across
                 // block groups sharing a zip).
-                let mut number =
-                    100 + (k / n_streets) as u32 * rng.gen_range(2..8) + rng.gen_range(0..2) as u32;
-                let key_of = |number: u32| {
-                    use crate::abbrev::normalize_line;
-                    let dir = directional
-                        .map(|d| format!("{} ", d.abbrev()))
-                        .unwrap_or_default();
-                    normalize_line(&format!(
-                        "{number} {dir}{name} {} , {} , {} {zip:05}",
-                        suffix.abbrev(),
-                        city.name,
-                        city.state
-                    ))
-                };
-                while !seen.insert(key_of(number)) {
-                    number += rng.gen_range(1..5);
-                }
-                let is_mdu = rng.gen_bool(MDU_RATE);
-                let units: Vec<String> = if is_mdu {
-                    let n_units = rng.gen_range(2..=12);
-                    (1..=n_units).map(|u| u.to_string()).collect()
-                } else {
-                    Vec::new()
-                };
-                let canonical = StreetAddress {
-                    number,
+                let mut canonical = StreetAddress {
+                    number: 100
+                        + (k / n_streets) as u32 * rng.gen_range(2..8)
+                        + rng.gen_range(0..2) as u32,
                     directional,
                     street_name: name,
                     suffix,
@@ -121,6 +101,16 @@ impl AddressDb {
                     zip,
                 };
                 let id = records.len() as AddressId;
+                while !index.insert(&canonical, id) {
+                    canonical.number += rng.gen_range(1..5);
+                }
+                let is_mdu = rng.gen_bool(MDU_RATE);
+                let units: Vec<String> = if is_mdu {
+                    let n_units = rng.gen_range(2..=12);
+                    (1..=n_units).map(|u| u.to_string()).collect()
+                } else {
+                    Vec::new()
+                };
                 let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
                 bg_slots.push(records.len());
                 records.push(AddressRecord {
@@ -139,6 +129,7 @@ impl AddressDb {
             city_name: city.name.to_string(),
             records,
             by_bg,
+            index,
         }
     }
 
@@ -160,6 +151,12 @@ impl AddressDb {
 
     pub fn records(&self) -> &[AddressRecord] {
         &self.records
+    }
+
+    /// The normalized lookup index over the canonical lines, built once
+    /// with the inventory.
+    pub fn index(&self) -> &AddressIndex {
+        &self.index
     }
 
     /// Number of block groups with at least one address.

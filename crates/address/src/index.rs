@@ -1,4 +1,4 @@
-//! The BAT's internal address database and lookup index.
+//! The canonical-address lookup index.
 //!
 //! The ISP side of the address-matching problem: a canonical address table
 //! indexed by normalized text, with candidate generation for the suggestion
@@ -6,13 +6,18 @@
 //! the same way a serviceability back-end would (case, punctuation and
 //! USPS abbreviation folding), so cosmetic listing noise resolves here and
 //! only genuine typos fall through to the suggestion flow.
+//!
+//! One index per city: [`AddressDb::generate`] fills it while keeping
+//! canonical lines unique, and every ISP's BAT reads [`AddressDb::index`].
 
-use bbsim_address::abbrev::{extract_zip, normalize_line};
-use bbsim_address::{AddressDb, AddressId};
+use crate::abbrev::{extract_zip, normalize_line};
+use crate::db::{AddressDb, AddressId};
+use crate::model::StreetAddress;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Normalized-lookup index over a city's canonical addresses.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddressIndex {
     /// normalized street line + zip -> address id.
     exact: HashMap<String, AddressId>,
@@ -21,53 +26,51 @@ pub struct AddressIndex {
 }
 
 impl AddressIndex {
-    /// Builds the index from the canonical side of an address inventory.
-    pub fn build(db: &AddressDb) -> Self {
-        let mut exact = HashMap::with_capacity(db.len());
-        let mut by_zip_number: HashMap<(u32, u32), Vec<AddressId>> = HashMap::new();
-        for r in db.records() {
-            exact.insert(Self::key_of(&r.canonical.canonical_line()), r.id);
-            by_zip_number
-                .entry((r.canonical.zip, r.canonical.number))
-                .or_default()
-                .push(r.id);
-        }
-        Self {
-            exact,
-            by_zip_number,
-        }
+    /// Adds address `id` under its normalized canonical line. Returns
+    /// `false`, leaving the index untouched, if that line is taken.
+    pub(crate) fn insert(&mut self, canonical: &StreetAddress, id: AddressId) -> bool {
+        let key = normalize_line(&canonical.canonical_line());
+        let Entry::Vacant(slot) = self.exact.entry(key) else {
+            return false;
+        };
+        slot.insert(id);
+        self.by_zip_number
+            .entry((canonical.zip, canonical.number))
+            .or_default()
+            .push(id);
+        true
     }
 
-    fn key_of(line: &str) -> String {
-        normalize_line(line)
+    /// Rebuilds the index from the canonical side of an address inventory;
+    /// equal to the one [`AddressDb::generate`] built.
+    pub fn build(db: &AddressDb) -> Self {
+        let mut index = Self::default();
+        for r in db.records() {
+            index.insert(&r.canonical, r.id);
+        }
+        index
     }
 
     /// Exact lookup after normalization.
     pub fn lookup(&self, line: &str) -> Option<AddressId> {
-        self.exact.get(&Self::key_of(line)).copied()
+        self.exact.get(&normalize_line(line)).copied()
     }
 
     /// Looks up a line that may carry a unit designator the canonical table
     /// does not store: tries the full line, then the line with the unit
     /// stripped.
     pub fn lookup_allowing_unit(&self, line: &str) -> Option<AddressId> {
-        if let Some(id) = self.lookup(line) {
+        let norm = normalize_line(line);
+        if let Some(&id) = self.exact.get(&norm) {
             return Some(id);
         }
-        // Strip a trailing "apt <x>" from the normalized form.
-        let norm = Self::key_of(line);
-        if let Some(pos) = norm.find(" apt ") {
-            let stripped = &norm[..pos];
-            // Re-append the tail after the unit token (city/state/zip).
-            let after_unit: Vec<&str> = norm[pos + 5..].splitn(2, ' ').collect();
-            let rebuilt = if after_unit.len() == 2 {
-                format!("{stripped} {}", after_unit[1])
-            } else {
-                stripped.to_string()
-            };
-            return self.exact.get(&rebuilt).copied();
-        }
-        None
+        // Strip the "apt <x>" tokens, keeping the tail (city/state/zip).
+        let pos = norm.find(" apt ")?;
+        let rebuilt = match norm[pos + 5..].split_once(' ') {
+            Some((_, tail)) => format!("{} {tail}", &norm[..pos]),
+            None => norm[..pos].to_string(),
+        };
+        self.exact.get(&rebuilt).copied()
     }
 
     /// Candidate ids for the suggestion list: same zip and house number.
@@ -101,18 +104,31 @@ impl AddressIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbsim_address::NoiseProfile;
+    use crate::NoiseProfile;
     use bbsim_census::city_by_name;
 
-    fn db() -> AddressDb {
-        let city = city_by_name("Billings").unwrap();
+    fn db_of(city: &str) -> AddressDb {
+        let city = city_by_name(city).unwrap();
         AddressDb::generate(city, &city.grid(), &NoiseProfile::zillow_like())
+    }
+
+    fn db() -> AddressDb {
+        db_of("Billings")
+    }
+
+    #[test]
+    fn generated_index_equals_a_rebuild() {
+        // Boston's zips carry a leading zero (021xx).
+        for city in ["Billings", "Chicago", "Boston"] {
+            let d = db_of(city);
+            assert_eq!(d.index(), &AddressIndex::build(&d), "{city}");
+        }
     }
 
     #[test]
     fn exact_lookup_finds_every_canonical_address() {
         let d = db();
-        let idx = AddressIndex::build(&d);
+        let idx = d.index();
         for r in d.records().iter().take(500) {
             assert_eq!(idx.lookup(&r.canonical.canonical_line()), Some(r.id));
         }
@@ -123,7 +139,7 @@ mod tests {
         // Most listing lines differ only in case/abbreviation and must
         // resolve without the suggestion flow.
         let d = db();
-        let idx = AddressIndex::build(&d);
+        let idx = d.index();
         let resolved = d
             .records()
             .iter()
@@ -136,7 +152,7 @@ mod tests {
     #[test]
     fn lookup_with_spurious_unit_falls_back_to_building() {
         let d = db();
-        let idx = AddressIndex::build(&d);
+        let idx = d.index();
         let r = &d.records()[0];
         let mut with_unit = r.canonical.clone();
         with_unit.unit = Some("3".to_string());
@@ -149,7 +165,7 @@ mod tests {
     #[test]
     fn suggestion_candidates_share_zip_and_number() {
         let d = db();
-        let idx = AddressIndex::build(&d);
+        let idx = d.index();
         // Typo the street name; zip and number survive.
         let r = &d.records()[42];
         let mut line = r.canonical.canonical_line();
@@ -169,7 +185,7 @@ mod tests {
     #[test]
     fn unparseable_input_yields_no_candidates() {
         let d = db();
-        let idx = AddressIndex::build(&d);
+        let idx = d.index();
         assert!(idx
             .suggestion_candidates("not an address at all")
             .is_empty());
@@ -179,9 +195,8 @@ mod tests {
     #[test]
     fn index_size_matches_db() {
         let d = db();
-        let idx = AddressIndex::build(&d);
-        // A few canonical collisions are tolerable (identical re-generated
-        // street+number), but the index must hold nearly all records.
-        assert!(idx.len() as f64 > d.len() as f64 * 0.95);
+        // Generation keeps canonical lines unique, so no record shadows
+        // another.
+        assert_eq!(d.index().len(), d.len());
     }
 }

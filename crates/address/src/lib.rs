@@ -8,7 +8,7 @@
 //!   "Avenue"), inconsistent case, typos, missing unit numbers ([`noise`]);
 //! * multi-dwelling units whose unit number is absent from the listing;
 //! * per-block-group address inventories with realistic street structure
-//!   ([`db`]).
+//!   ([`db`]) and the lookup index every BAT shares ([`index`]).
 //!
 //! It also provides what BQT needs to *recover* from that noise:
 //! normalization against USPS-style abbreviation tables ([`abbrev`]) and
@@ -17,12 +17,14 @@
 
 pub mod abbrev;
 pub mod db;
+pub mod index;
 pub mod matching;
 pub mod model;
 pub mod noise;
 pub mod street;
 
 pub use db::{AddressDb, AddressId, AddressRecord};
+pub use index::AddressIndex;
 pub use matching::{best_match, jaro_winkler, levenshtein, token_sort_similarity};
 pub use model::{Directional, StreetAddress, Suffix};
 pub use noise::{render_noisy, NoiseProfile};

@@ -104,11 +104,17 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// Levenshtein similarity — immune to token reordering like
 /// `"Ter Evergreen 742"` vs `"742 Evergreen Ter"`.
 pub fn token_sort_similarity(a: &str, b: &str) -> f64 {
-    let mut ta: Vec<String> = normalize_line(a).split(' ').map(str::to_string).collect();
-    let mut tb: Vec<String> = normalize_line(b).split(' ').map(str::to_string).collect();
-    ta.sort();
-    tb.sort();
-    levenshtein_similarity(&ta.join(" "), &tb.join(" "))
+    sorted_token_similarity(&normalize_line(a), &normalize_line(b))
+}
+
+/// [`token_sort_similarity`] of two already-normalized lines.
+fn sorted_token_similarity(a: &str, b: &str) -> f64 {
+    let sorted = |line: &str| {
+        let mut tokens: Vec<&str> = line.split(' ').collect();
+        tokens.sort_unstable();
+        tokens.join(" ")
+    };
+    levenshtein_similarity(&sorted(a), &sorted(b))
 }
 
 /// Which similarity measure a matcher uses.
@@ -122,12 +128,15 @@ pub enum Measure {
 /// Scores `input` against `candidate` with `measure`, after normalizing
 /// both sides.
 pub fn similarity(measure: Measure, input: &str, candidate: &str) -> f64 {
-    let a = normalize_line(input);
-    let b = normalize_line(candidate);
+    normalized_similarity(measure, &normalize_line(input), &normalize_line(candidate))
+}
+
+/// [`similarity`] of two already-normalized lines.
+fn normalized_similarity(measure: Measure, a: &str, b: &str) -> f64 {
     match measure {
-        Measure::Levenshtein => levenshtein_similarity(&a, &b),
-        Measure::JaroWinkler => jaro_winkler(&a, &b),
-        Measure::TokenSort => token_sort_similarity(&a, &b),
+        Measure::Levenshtein => levenshtein_similarity(a, b),
+        Measure::JaroWinkler => jaro_winkler(a, b),
+        Measure::TokenSort => sorted_token_similarity(a, b),
     }
 }
 
@@ -142,9 +151,10 @@ pub fn best_match(
     candidates: &[String],
     threshold: f64,
 ) -> Option<(usize, f64)> {
+    let input = normalize_line(input);
     let mut best: Option<(usize, f64)> = None;
     for (i, c) in candidates.iter().enumerate() {
-        let s = similarity(measure, input, c);
+        let s = normalized_similarity(measure, &input, &normalize_line(c));
         if s >= threshold && best.is_none_or(|(_, bs)| s > bs) {
             best = Some((i, s));
         }

@@ -144,18 +144,7 @@ impl StreetAddress {
     /// The canonical single-line rendering:
     /// `"742 N Evergreen Ter Apt 2, New Orleans, LA 70118"`.
     pub fn canonical_line(&self) -> String {
-        let mut s = format!("{} ", self.number);
-        if let Some(d) = self.directional {
-            s.push_str(d.abbrev());
-            s.push(' ');
-        }
-        s.push_str(&self.street_name);
-        s.push(' ');
-        s.push_str(self.suffix.abbrev());
-        if let Some(u) = &self.unit {
-            s.push_str(" Apt ");
-            s.push_str(u);
-        }
+        let mut s = self.canonical_street_line();
         s.push_str(&format!(", {}, {} {:05}", self.city, self.state, self.zip));
         s
     }

@@ -9,7 +9,7 @@
 
 use bbsim_dataset::PlanRecord;
 use bbsim_isp::Isp;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The speed spread at one price point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,14 +31,15 @@ impl PricePointSpread {
 
 /// Computes every price point's speed spread for one ISP.
 ///
-/// Returns spreads sorted by flattening factor, largest first; price points
-/// seen fewer than `min_observations` times are dropped as noise.
+/// Returns spreads sorted by flattening factor, largest first, ties by
+/// price, cheapest first; price points seen fewer than `min_observations`
+/// times are dropped as noise.
 pub fn tier_flattening(
     records: &[PlanRecord],
     isp: Isp,
     min_observations: usize,
 ) -> Vec<PricePointSpread> {
-    let mut by_price: HashMap<u32, (f64, f64, usize)> = HashMap::new();
+    let mut by_price: BTreeMap<u32, (f64, f64, usize)> = BTreeMap::new();
     for r in records.iter().filter(|r| r.isp == isp) {
         for p in &r.plans {
             let price = p.price_usd.round() as u32;
@@ -60,8 +61,8 @@ pub fn tier_flattening(
         .collect();
     out.sort_by(|a, b| {
         b.flattening_factor()
-            .partial_cmp(&a.flattening_factor())
-            .expect("finite factors")
+            .total_cmp(&a.flattening_factor())
+            .then(a.price_usd.cmp(&b.price_usd))
     });
     out
 }
@@ -133,6 +134,24 @@ mod tests {
         assert_eq!(spreads.len(), 2);
         assert!(spreads[0].flattening_factor() >= spreads[1].flattening_factor());
         assert_eq!(spreads[0].price_usd, 55);
+    }
+
+    #[test]
+    fn tied_factors_order_by_price_on_every_call() {
+        // Every uniform price point has factor 1x; the tie must break on
+        // price, not on hash order, or the report changes between runs.
+        let prices = [70.0, 25.0, 55.0, 40.0, 90.0, 30.0, 65.0, 50.0];
+        let records: Vec<PlanRecord> = prices
+            .iter()
+            .flat_map(|&p| (0..10).map(move |_| rec(Isp::Frontier, 500.0, p)))
+            .collect();
+        for _ in 0..20 {
+            let order: Vec<u32> = tier_flattening(&records, Isp::Frontier, 10)
+                .iter()
+                .map(|s| s.price_usd)
+                .collect();
+            assert_eq!(order, [25, 30, 40, 50, 55, 65, 70, 90]);
+        }
     }
 
     #[test]

@@ -16,18 +16,18 @@
 //! * per-IP rate limiting with HTTP 429 ([`server`]);
 //! * per-ISP page markup dialects, so a client needs per-ISP templates
 //!   ([`templates`]);
+//! * address lookups in the city's one shared [`AddressIndex`] ([`server`]);
 //! * per-ISP latency and failure profiles calibrated to reproduce the
 //!   paper's hit rates and query-time distributions (Fig. 2)
 //!   ([`profile`]).
 
 pub mod drift;
-pub mod index;
 pub mod profile;
 pub mod server;
 pub mod templates;
 
+pub use bbsim_address::AddressIndex;
 pub use drift::DriftSchedule;
-pub use index::AddressIndex;
 pub use profile::ServerProfile;
 pub use server::BatServer;
 pub use templates::{Dialect, PageKind, TemplateVersion};
