@@ -227,9 +227,10 @@ impl<'a> Campaign<'a> {
     /// merged stream — and everything derived from it — is byte-identical
     /// for every thread count.
     ///
-    /// Attached recorders replay the *merged* stream after all shards
-    /// finish, so a [`JsonlRecorder`](crate::telemetry::JsonlRecorder)
-    /// here writes the canonical `events.jsonl` directly.
+    /// Attached recorders see the *merged* stream after all shards
+    /// finish, fed event by event as the merge yields it, so a
+    /// [`JsonlRecorder`](crate::telemetry::JsonlRecorder) here writes the
+    /// canonical `events.jsonl` directly.
     ///
     /// # Panics
     /// If a campaign-level [`journal`](Self::journal) is attached: sharded
@@ -259,12 +260,14 @@ impl<'a> Campaign<'a> {
             monitor: monitor.as_ref(),
             crash_at,
         };
-        let shards = shard::execute(&template, plan, threads, make_env)?;
-        let events = shard::merge_events(&shards);
-        for event in &events {
+        let (shards, streams) = shard::execute(&template, plan, threads, make_env)?;
+        let merged = shard::merge_seq_streams(streams);
+        let mut events = Vec::with_capacity(merged.len());
+        for event in merged {
             for recorder in recorders.iter_mut() {
-                recorder.record(event);
+                recorder.record(&event);
             }
+            events.push(event);
         }
         Ok(ShardedOutcome { shards, events })
     }

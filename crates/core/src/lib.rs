@@ -30,8 +30,9 @@
 //!   recorders into a run;
 //! * [`shard`] — multi-core campaigns: a fixed city×ISP partition into
 //!   shards (own virtual clock, hermetic RNG stream and telemetry `seq`
-//!   namespace each) executed on OS threads, with a watermark `(at, seq)`
-//!   merge that keeps every artifact byte-identical to `threads = 1`;
+//!   namespace each) executed on OS threads, with a k-way `(at, seq)`
+//!   merge of the sorted shard streams that keeps every artifact
+//!   byte-identical to `threads = 1`;
 //! * [`monitor`] — live campaign health over the telemetry stream:
 //!   sliding-window aggregation, SLO alerting with hysteresis, Prometheus
 //!   text exposition and a virtual-clock phase profiler;
@@ -80,8 +81,8 @@ pub use scrape::{
     learn_template_set, DetectedPage, LearnedTemplates, ScrapedPlan, TemplateSet, GENERATIONS,
 };
 pub use shard::{
-    merge_events, merge_seq_streams, seq_counter, seq_shard, shard_seq, SeqEvent, ShardEnv,
-    ShardPlan, ShardRecorder, ShardRun, ShardSpec, ShardedOutcome,
+    merge_seq_streams, seq_counter, seq_shard, shard_seq, sort_stream, SeqEvent, SeqMerge,
+    ShardEnv, ShardPlan, ShardRecorder, ShardRun, ShardSpec, ShardedOutcome,
 };
 pub use shed::{ShedController, ShedDecision, ShedPolicy};
 pub use telemetry::{

@@ -1,17 +1,18 @@
 //! The watermark + `(at, seq)` ordering heap, shared by the live monitor
-//! and the shard-stream merger.
+//! and the trace assembler.
 //!
 //! The telemetry stream arrives in *emission* order, which is not virtual
 //! time order: an attempt's end is stamped in the future and emitted the
 //! moment the attempt is scheduled. Consumers that need exact time order
-//! (the sliding-window monitor, the multi-shard merge in
-//! [`shard`](crate::shard)) push every event into a [`WatermarkHeap`] and
+//! while the stream is still being emitted (the sliding-window monitor,
+//! the trace assembler) push every event into a [`WatermarkHeap`] and
 //! pop only once the watermark — the largest timestamp carried by an
 //! event that is emitted *at* the loop's current time — has passed an
 //! entry's stamp. Ties on the same virtual millisecond break on `seq`,
-//! a caller-assigned total order (emission order within one stream;
-//! shard-namespaced counters across streams), so the drained order is a
-//! deterministic function of the event set alone.
+//! a caller-assigned total order (emission order within one stream), so
+//! the drained order is a deterministic function of the event set alone.
+//! Finished shard streams do not come through here: each is sorted on
+//! its worker and k-way merged by [`shard`](crate::shard).
 
 use crate::telemetry::EventKind;
 use std::cmp::Ordering;

@@ -16,11 +16,16 @@
 //! pull whole shards off a work queue. Because a shard shares no mutable
 //! state with its siblings, its event stream is a pure function of
 //! `(spec, environment)`; and because the merged stream orders events by
-//! `(at, seq)` through the same [`WatermarkHeap`] the monitor uses — with
-//! `seq` namespaced as `shard_id << SHARD_SEQ_BITS | counter` — the merged
-//! campaign output is **byte-identical for every thread count**. The
-//! differential suite in `tests/shard.rs` enforces exactly that for
-//! `threads ∈ {1, 2, 4, 8}`.
+//! `(at, seq)` — with `seq` namespaced as `shard_id << SHARD_SEQ_BITS |
+//! counter` — the merged campaign output is **byte-identical for every
+//! thread count**. The differential suite in `tests/shard.rs` enforces
+//! exactly that for `threads ∈ {1, 2, 4, 8}`.
+//!
+//! Each shard sorts its own stream into `(at, seq)` order on the worker
+//! thread that recorded it ([`sort_stream`]); the serial step is then a
+//! k-way merge of those sorted runs ([`merge_seq_streams`]) that moves
+//! every event once and yields the canonical stream as an iterator, so
+//! consumers can feed it straight into recorders without a merged copy.
 //!
 //! ## Crash + resume
 //!
@@ -35,10 +40,12 @@ use crate::campaign::CampaignOutcome;
 use crate::client::BqtConfig;
 use crate::driver::QueryJob;
 use crate::journal::{Journal, JournalError};
-use crate::monitor::{CampaignSection, MonitorPolicy, WatermarkHeap};
+use crate::monitor::{CampaignSection, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport, ResumeStats};
 use crate::telemetry::{Event, Recorder};
 use bbsim_net::{mix64, IpPool, SimTime, Transport};
+use std::iter::Peekable;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -197,6 +204,19 @@ impl ShardRecorder {
         }
     }
 
+    /// Records an owned event, stamping it with the next `seq`.
+    pub fn push(&mut self, event: Event) {
+        let seq = shard_seq(self.shard, self.next);
+        self.next += 1;
+        self.events.push(SeqEvent { seq, event });
+    }
+
+    /// The namespaced `seq`s stamped so far, as a half-open range.
+    pub fn seqs(&self) -> Range<u64> {
+        shard_seq(self.shard, 0)..shard_seq(self.shard, self.next)
+    }
+
+    /// The recorded stream, in emission order.
     pub fn into_events(self) -> Vec<SeqEvent> {
         self.events
     }
@@ -204,12 +224,7 @@ impl ShardRecorder {
 
 impl Recorder for ShardRecorder {
     fn record(&mut self, event: &Event) {
-        let seq = shard_seq(self.shard, self.next);
-        self.next += 1;
-        self.events.push(SeqEvent {
-            seq,
-            event: event.clone(),
-        });
+        self.push(event.clone());
     }
 }
 
@@ -220,9 +235,9 @@ pub struct ShardRun {
     /// The shard's completed report; `None` when the simulated crash fired
     /// first (the shard's journal segment holds what survived).
     pub report: Option<Box<OrchestratorReport>>,
-    /// The shard's full event stream with namespaced `seq`s, in emission
-    /// order.
-    pub events: Vec<SeqEvent>,
+    /// The namespaced `seq`s the shard's events carry; its length is the
+    /// shard's event count. The events themselves go to the merge.
+    pub seqs: Range<u64>,
     /// The shard's environment, handed back for inspection (journal bytes,
     /// transport request counts).
     pub env: ShardEnv,
@@ -281,33 +296,62 @@ impl ShardedOutcome {
     }
 }
 
-/// Merges shard streams into the canonical `(at, seq)` order through the
-/// watermark heap the monitor uses.
-pub fn merge_events(shards: &[ShardRun]) -> Vec<Event> {
-    merge_seq_streams(shards.iter().map(|s| s.events.as_slice()))
+/// Sorts one stream into the canonical `(at, seq)` order. The sort is
+/// stable and a recorded stream is almost in order already (only
+/// future-stamped attempt ends run ahead), so this is near-linear.
+pub fn sort_stream(stream: &mut [SeqEvent]) {
+    stream.sort_by_key(|se| (se.event.at, se.seq));
 }
 
-/// Merges any set of `seq`-stamped streams into `(at, seq)` order. The
-/// result is a function of the event *set* alone: any partition of the
-/// same events into streams merges identically (the property
-/// `tests/properties.rs` fuzzes).
-pub fn merge_seq_streams<'a>(streams: impl IntoIterator<Item = &'a [SeqEvent]>) -> Vec<Event> {
-    let mut heap: WatermarkHeap<Event> = WatermarkHeap::new();
-    let mut n = 0usize;
-    for stream in streams {
-        for se in stream {
-            heap.push(se.event.at.as_millis(), se.seq, se.event.clone());
-            n += 1;
-        }
+/// Merges any set of `seq`-stamped streams into `(at, seq)` order,
+/// moving each event once. Every stream is sorted first — near-free when
+/// its worker already did so — so the result is a function of the event
+/// *set* alone: any partition of the same events into streams, in any
+/// order, merges identically (the property `tests/properties.rs` fuzzes).
+pub fn merge_seq_streams(streams: impl IntoIterator<Item = Vec<SeqEvent>>) -> SeqMerge {
+    SeqMerge {
+        runs: streams
+            .into_iter()
+            .map(|mut stream| {
+                sort_stream(&mut stream);
+                stream.into_iter().peekable()
+            })
+            .collect(),
     }
-    // The streams are complete: flush the watermark to the end of time.
-    heap.advance(u64::MAX);
-    let mut out = Vec::with_capacity(n);
-    while let Some((_, _, event)) = heap.pop_ready() {
-        out.push(event);
-    }
-    out
 }
+
+/// The k-way merge of sorted streams: yields the earliest `(at, seq)`
+/// head among the runs, by move, until every run is drained.
+pub struct SeqMerge {
+    runs: Vec<Peekable<std::vec::IntoIter<SeqEvent>>>,
+}
+
+impl Iterator for SeqMerge {
+    type Item = Event;
+
+    fn next(&mut self) -> Option<Event> {
+        // Shard counts are small, so a scan of the run heads beats a heap.
+        let mut best: Option<(usize, (SimTime, u64))> = None;
+        for (i, run) in self.runs.iter_mut().enumerate() {
+            let Some(head) = run.peek() else {
+                continue;
+            };
+            let key = (head.event.at, head.seq);
+            if best.is_none_or(|(_, least)| key < least) {
+                best = Some((i, key));
+            }
+        }
+        let (i, _) = best?;
+        self.runs.get_mut(i)?.next().map(|se| se.event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.runs.iter().map(ExactSizeIterator::len).sum();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for SeqMerge {}
 
 /// The clonable slice of a [`Campaign`](crate::Campaign) a shard runs
 /// under: everything but the per-run borrows (journal, recorders).
@@ -318,21 +362,25 @@ pub(crate) struct ShardTemplate<'t> {
     pub crash_at: Option<SimTime>,
 }
 
+/// One shard's result: its run and its `(at, seq)`-sorted event stream.
+type ShardResult = Result<(ShardRun, Vec<SeqEvent>), JournalError>;
+
 /// Runs every shard of `plan` on up to `threads` OS threads.
 ///
 /// Threads pull whole shards off a deterministic work queue; results land
 /// in per-shard slots, so the returned order (and everything derived from
-/// it) is shard order regardless of scheduling. The first journal error
+/// it) is shard order regardless of scheduling. Each shard's stream comes
+/// back sorted, ready for [`merge_seq_streams`]. The first journal error
 /// from any shard surfaces as the run's error.
 pub(crate) fn execute(
     template: &ShardTemplate<'_>,
     plan: &ShardPlan,
     threads: usize,
     make_env: &(dyn Fn(&ShardSpec) -> Result<ShardEnv, JournalError> + Sync),
-) -> Result<Vec<ShardRun>, JournalError> {
+) -> Result<(Vec<ShardRun>, Vec<Vec<SeqEvent>>), JournalError> {
     let threads = threads.clamp(1, plan.shards.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ShardRun, JournalError>>>> =
+    let slots: Vec<Mutex<Option<ShardResult>>> =
         plan.shards.iter().map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
@@ -355,6 +403,7 @@ pub(crate) fn execute(
     });
 
     let mut runs = Vec::with_capacity(plan.shards.len());
+    let mut streams = Vec::with_capacity(plan.shards.len());
     for slot in slots {
         let inner = match slot.into_inner() {
             Ok(inner) => inner,
@@ -367,18 +416,20 @@ pub(crate) fn execute(
             // lint:allow(T2): scope() re-raises worker panics before this line can run
             unreachable!("scoped worker left a shard slot empty without panicking")
         };
-        runs.push(result?);
+        let (run, stream) = result?;
+        runs.push(run);
+        streams.push(stream);
     }
-    Ok(runs)
+    Ok((runs, streams))
 }
 
 /// Runs one shard to completion (or to the simulated crash) inside its
-/// own environment.
+/// own environment, and sorts its stream on this worker thread.
 fn run_one(
     template: &ShardTemplate<'_>,
     spec: &ShardSpec,
     make_env: &(dyn Fn(&ShardSpec) -> Result<ShardEnv, JournalError> + Sync),
-) -> Result<ShardRun, JournalError> {
+) -> ShardResult {
     let mut env = make_env(spec)?;
     let mut recorder = ShardRecorder::new(spec.id);
     let mut orch = template.orch.clone();
@@ -406,13 +457,17 @@ fn run_one(
         CampaignOutcome::Completed(report) => Some(report),
         CampaignOutcome::Crashed => None,
     };
-    Ok(ShardRun {
+    let seqs = recorder.seqs();
+    let mut stream = recorder.into_events();
+    sort_stream(&mut stream);
+    let run = ShardRun {
         id: spec.id,
         label: spec.label.clone(),
         report,
-        events: recorder.into_events(),
+        seqs,
         env,
-    })
+    };
+    Ok((run, stream))
 }
 
 #[cfg(test)]
@@ -493,16 +548,37 @@ mod tests {
                 event: ev(20, 3),
             },
         ];
-        let merged = merge_seq_streams([s1.as_slice(), s0.as_slice()]);
-        let workers: Vec<u32> = merged
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::WorkerBegin { worker } => worker,
-                _ => unreachable!("only WorkerBegin events in this test"),
-            })
-            .collect();
+        let merged = merge_seq_streams([s1, s0]);
+        assert_eq!(merged.len(), 4);
+        let workers: Vec<u32> = merged.map(|e| worker(&e)).collect();
         // 10ms ties break shard 0 before shard 1; stream order is
         // irrelevant to the merge.
         assert_eq!(workers, vec![0, 2, 3, 1]);
+    }
+
+    fn worker(e: &Event) -> u32 {
+        match e.kind {
+            EventKind::WorkerBegin { worker } => worker,
+            _ => unreachable!("only WorkerBegin events in this test"),
+        }
+    }
+
+    #[test]
+    fn recorder_counts_contiguously_inside_its_namespace() {
+        let mut rec = ShardRecorder::new(3);
+        // Emission order is not time order: a future-stamped end comes
+        // before an earlier begin, as in a real campaign.
+        for (at_ms, w) in [(5, 0), (40, 1), (20, 2), (20, 3), (0, 4)] {
+            rec.record(&ev(at_ms, w));
+        }
+        rec.push(ev(10, 5));
+        assert_eq!(rec.seqs(), shard_seq(3, 0)..shard_seq(3, 6));
+        let events = rec.into_events();
+        assert_eq!(events.len(), 6);
+        for (k, se) in events.iter().enumerate() {
+            assert_eq!(seq_shard(se.seq), 3, "seq left the shard's namespace");
+            assert_eq!(seq_counter(se.seq), k as u64, "counters follow emission");
+            assert_eq!(worker(&se.event), k as u32, "events keep emission order");
+        }
     }
 }

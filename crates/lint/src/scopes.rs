@@ -99,6 +99,16 @@ pub const REPLAY_ENTRY_POINTS: &[EntryPointDef] = &[
         name: "replay",
     },
     EntryPointDef {
+        file: "crates/core/src/shard.rs",
+        owner: None,
+        name: "merge_seq_streams",
+    },
+    EntryPointDef {
+        file: "crates/core/src/shard.rs",
+        owner: Some("SeqMerge"),
+        name: "next",
+    },
+    EntryPointDef {
         file: "crates/core/src/monitor/merge.rs",
         owner: Some("WatermarkHeap"),
         name: "push",

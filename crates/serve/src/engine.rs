@@ -9,8 +9,9 @@
 //! discipline turns arrival times into lookup latencies — an arrival
 //! whose queue wait would exceed `shed_wait_ms` is refused with a
 //! `ServeShed` event, which is what keeps the cache-hostile scan from
-//! growing the backlog without bound. Shard streams are merged on
-//! `(at, seq)` and fed once, in order, through the SLO monitor, the
+//! growing the backlog without bound. Each worker sorts its shard's
+//! stream on `(at, seq)`; the sorted streams are k-way merged and fed
+//! once, in order, straight from the merge through the SLO monitor, the
 //! metrics aggregator and the caller's recorder; nothing in the merged
 //! stream or anything derived from it depends on how shards were
 //! packed onto OS threads.
@@ -23,8 +24,8 @@ use bbsim_net::{Endpoint, LatencyModel, SimDuration, SimIp, SimTime, Transport};
 use bqt::monitor::{CampaignMonitor, MonitorPolicy};
 use bqt::telemetry::OutcomeCode;
 use bqt::{
-    merge_seq_streams, Event, EventKind, HealthReport, MetricsAggregator, Recorder, SeqEvent,
-    ShardRecorder, SloRule, TelemetrySummary,
+    merge_seq_streams, sort_stream, Event, EventKind, HealthReport, MetricsAggregator, Recorder,
+    SeqEvent, ShardRecorder, SloRule, TelemetrySummary,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -158,7 +159,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
     let arrivals = schedule.len() as u64;
 
     let mut rec = ShardRecorder::new(shard_id);
-    rec.record(&Event {
+    rec.push(Event {
         at: SimTime::ZERO,
         kind: EventKind::WorkerBegin { worker: shard_id },
     });
@@ -183,7 +184,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
     for Arrival { at_ms, request } in schedule {
         let wait = prev_done.saturating_sub(at_ms);
         if wait > opts.shed_wait_ms {
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(at_ms),
                 kind: EventKind::ServeShed {
                     shard: shard_id,
@@ -209,7 +210,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
                 .get(i)
                 .map(answer_outcome)
                 .unwrap_or(OutcomeCode::Failed);
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(done),
                 kind: EventKind::ServeLookupEnd {
                     tag: q.telemetry_tag(),
@@ -222,7 +223,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
             });
         }
         for key in evicted_keys(&resp) {
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(done),
                 kind: EventKind::CacheEvicted {
                     shard: shard_id,
@@ -232,7 +233,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
         }
         prev_done = done;
     }
-    rec.record(&Event {
+    rec.push(Event {
         at: SimTime::from_millis(prev_done),
         kind: EventKind::WorkerEnd { worker: shard_id },
     });
@@ -265,7 +266,8 @@ pub fn run_recorded(
     opts: &ServeOptions,
     recorder: &mut dyn Recorder,
 ) -> ServeOutcome {
-    /// One shard's finished work: its event stream and arrival count.
+    /// One shard's finished work: its sorted event stream and arrival
+    /// count.
     type ShardSlot = Mutex<Option<(Vec<SeqEvent>, u64)>>;
     let n_shards = store.shards().len();
     let slots: Vec<ShardSlot> = (0..n_shards).map(|_| Mutex::new(None)).collect();
@@ -279,8 +281,9 @@ pub fn run_recorded(
                 if id >= n_shards {
                     break;
                 }
-                let result = run_shard(store, opts, id as u32);
-                *slots[id].lock().expect("result slot poisoned") = Some(result);
+                let (mut events, n) = run_shard(store, opts, id as u32);
+                sort_stream(&mut events);
+                *slots[id].lock().expect("result slot poisoned") = Some((events, n));
             });
         }
     });
@@ -296,9 +299,13 @@ pub fn run_recorded(
         arrivals += n;
         streams.push(events);
     }
-    let merged = merge_seq_streams(streams.iter().map(Vec::as_slice));
-    drop(streams);
-    let makespan_ms = merged.last().map(|e| e.at.as_millis()).unwrap_or(0);
+    // Each stream is sorted, so its last event is its latest.
+    let makespan_ms = streams
+        .iter()
+        .filter_map(|s| s.last())
+        .map(|se| se.event.at.as_millis())
+        .max()
+        .unwrap_or(0);
 
     let mut monitor = CampaignMonitor::new(opts.policy.clone());
     let mut agg = MetricsAggregator::new();
@@ -328,8 +335,8 @@ pub fn run_recorded(
         &mut agg,
         recorder,
     );
-    for event in &merged {
-        feed(event, &mut monitor, &mut agg, recorder);
+    for event in merge_seq_streams(streams) {
+        feed(&event, &mut monitor, &mut agg, recorder);
     }
     feed(
         &Event {

@@ -507,15 +507,17 @@ proptest! {
 
 // ---- shard merge (differential determinism) ---------------------------
 //
-// The sharded-campaign contract reduces to one algebraic fact: merging
-// `(at, seq)`-stamped streams through the watermark heap is a function of
-// the event *set* alone — any partition into shards, pushed in any
-// interleaving, drains in the one canonical order.
+// The sharded-campaign contract reduces to one algebraic fact: the k-way
+// merge of `(at, seq)`-stamped streams is a function of the event *set*
+// alone — any partition into shards, each stream in any order, merges to
+// the one canonical order.
 
 mod shard_merge {
     use super::*;
     use decoding_divide::bqt::monitor::WatermarkHeap;
-    use decoding_divide::bqt::{merge_seq_streams, shard_seq, Event, EventKind, SeqEvent};
+    use decoding_divide::bqt::{
+        merge_seq_streams, shard_seq, sort_stream, Event, EventKind, SeqEvent,
+    };
     use decoding_divide::net::SimTime;
 
     /// A synthetic recorded stream: `n` events with bounded timestamps
@@ -569,7 +571,7 @@ mod shard_merge {
                 })
                 .collect();
             expected.sort();
-            let merged = merge_seq_streams(streams.iter().map(|s| s.as_slice()));
+            let merged: Vec<Event> = merge_seq_streams(streams.clone()).collect();
             prop_assert_eq!(
                 workers(&merged),
                 expected.into_iter().map(|(_, _, w)| w).collect::<Vec<_>>()
@@ -604,9 +606,57 @@ mod shard_merge {
             };
             let a = stamp(&assign_a, shards_a);
             let b = stamp(&assign_b, shards_b);
-            let merged_a = merge_seq_streams(a.iter().map(|s| s.as_slice()));
-            let merged_b = merge_seq_streams(b.iter().rev().map(|s| s.as_slice()));
+            let merged_a: Vec<Event> = merge_seq_streams(a.clone()).collect();
+            let merged_b: Vec<Event> = merge_seq_streams(b.iter().rev().cloned()).collect();
             prop_assert_eq!(workers(&merged_a), workers(&merged_b));
+        }
+
+        /// Pre-sorted runs, the same runs each reversed and in reverse
+        /// stream order, and one concatenated run all merge to the same
+        /// order; consuming the merge a few events at a time yields what
+        /// collecting it does, with an exact length at every step.
+        #[test]
+        fn sorted_reversed_and_concatenated_runs_merge_alike(
+            at_ms in proptest::collection::vec(0u64..50, 1..120),
+            assign in proptest::collection::vec(any::<u8>(), 120),
+            n_shards in 1u8..6,
+            chunk in 1usize..8,
+        ) {
+            let streams = stamped(&at_ms, &assign, n_shards);
+            let sorted: Vec<Vec<SeqEvent>> = streams
+                .iter()
+                .map(|s| {
+                    let mut s = s.clone();
+                    sort_stream(&mut s);
+                    s
+                })
+                .collect();
+            let reversed: Vec<Vec<SeqEvent>> = sorted
+                .iter()
+                .rev()
+                .map(|s| s.iter().rev().cloned().collect())
+                .collect();
+            let concatenated = vec![streams.concat()];
+
+            let collected: Vec<Event> = merge_seq_streams(sorted.clone()).collect();
+            prop_assert_eq!(collected.len(), at_ms.len());
+            let from_reversed: Vec<Event> = merge_seq_streams(reversed).collect();
+            let from_concatenated: Vec<Event> = merge_seq_streams(concatenated).collect();
+            prop_assert_eq!(workers(&from_reversed), workers(&collected));
+            prop_assert_eq!(workers(&from_concatenated), workers(&collected));
+
+            let mut merge = merge_seq_streams(sorted);
+            let mut streamed: Vec<Event> = Vec::new();
+            loop {
+                prop_assert_eq!(merge.len(), collected.len() - streamed.len());
+                let before = streamed.len();
+                streamed.extend(merge.by_ref().take(chunk));
+                if streamed.len() == before {
+                    break;
+                }
+            }
+            prop_assert_eq!(merge.next(), None);
+            prop_assert_eq!(streamed, collected);
         }
 
         /// The watermark gate never releases an entry stamped beyond the
