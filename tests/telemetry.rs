@@ -10,11 +10,14 @@
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::jsonl::parse_line;
 use decoding_divide::bqt::{
-    Campaign, Event, EventKind, JsonlRecorder, QueryJob, Recorder, RetryPolicy, RingRecorder,
+    Campaign, Event, EventKind, JsonlRecorder, MonitorPolicy, QueryJob, Recorder, RetryPolicy,
+    RingRecorder, ShedPolicy,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{Endpoint, IpPool, RotationPolicy, Transport};
+use decoding_divide::net::{
+    fnv1a, Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
+};
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -171,4 +174,65 @@ fn a_campaign_with_no_recorders_still_aggregates() {
     assert_eq!(report.records.len(), jobs.len());
     assert_eq!(report.telemetry.attempts, jobs.len() as u64);
     assert!(report.telemetry.attempt_latency.count() > 0);
+}
+
+/// FNV-1a digests of the faulted campaign's full and replay-stable JSONL
+/// logs. They pin what a real campaign emits, byte for byte, so any change
+/// to the event schema's wire names, field order, value encoding or
+/// stability classes shows up here.
+const FAULTED_FULL_DIGEST: u64 = 16559079951128481550;
+const FAULTED_STABLE_DIGEST: u64 = 2557492546493192057;
+
+#[test]
+fn faulted_campaign_logs_are_byte_identical_to_the_golden_digests() {
+    let (mut t, jobs) = setup();
+    let until = SimTime::ZERO + SimDuration::from_secs(1_000_000);
+    t.set_fault_plan(
+        FaultPlan::new(9)
+            .hermetic()
+            .flaky_endpoint(ENDPOINT, SimTime::ZERO, until, 0.2)
+            .lossy_network(SimTime::ZERO, until, 0.1)
+            .stalls(ENDPOINT, SimTime::ZERO, until, 0.05),
+    );
+    let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
+    let mut full = JsonlRecorder::new(Vec::new());
+    let mut stable = JsonlRecorder::stable(Vec::new());
+    Campaign::new(5)
+        .workers(8)
+        .retries(RetryPolicy::paper_default(5))
+        .watchdog(SimDuration::from_secs(120))
+        .shedding(ShedPolicy::paper_default())
+        .monitor(MonitorPolicy::paper_default())
+        .recorder(&mut full)
+        .recorder(&mut stable)
+        .run(&mut t, &jobs, &mut pool)
+        .unwrap()
+        .report();
+    let full = full.into_inner();
+    let stable = stable.into_inner();
+    let digests = (fnv1a(&full), fnv1a(&stable));
+
+    // The fault plan must actually reach the log: ephemeral events are
+    // present in the full stream and absent from the stable one.
+    let full_text = String::from_utf8(full).unwrap();
+    let stable_text = String::from_utf8(stable).unwrap();
+    for ev in [
+        "fault_injected",
+        "page_fetch_begin",
+        "page_fetch_end",
+        "retry",
+    ] {
+        let needle = format!("\"ev\":\"{ev}\"");
+        assert!(full_text.contains(&needle), "no {ev} in the full log");
+    }
+    assert!(!stable_text.contains("\"ev\":\"fault_injected\""));
+    assert!(stable_text.lines().count() < full_text.lines().count());
+
+    assert_eq!(
+        digests,
+        (FAULTED_FULL_DIGEST, FAULTED_STABLE_DIGEST),
+        "full log {} lines, stable log {} lines",
+        full_text.lines().count(),
+        stable_text.lines().count()
+    );
 }
