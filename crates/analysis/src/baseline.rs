@@ -15,7 +15,6 @@
 use bbsim_dataset::{BlockGroupRow, PlanRecord};
 use bbsim_isp::Isp;
 use bbsim_stats::spearman;
-use std::collections::HashMap;
 
 /// The same city through two methodological lenses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,10 +39,12 @@ pub fn markup_view(rows: &[BlockGroupRow], dslf: Isp, threshold_cv: f64) -> Mark
         .filter(|r| r.isp == dslf)
         .map(|r| r.median_cv)
         .collect();
-    // Composite: best cv from any ISP per block group.
-    let mut best: HashMap<usize, f64> = HashMap::new();
+    // Composite: best cv from any ISP per block group, indexed by
+    // `bg_index`.
+    let n_groups = rows.iter().map(|r| r.bg_index + 1).max().unwrap_or(0);
+    let mut best: Vec<Option<f64>> = vec![None; n_groups];
     for r in rows {
-        let e = best.entry(r.bg_index).or_insert(f64::MIN);
+        let e = best[r.bg_index].get_or_insert(f64::MIN);
         *e = e.max(r.median_cv);
     }
     let bad = |cvs: &[f64]| {
@@ -53,7 +54,7 @@ pub fn markup_view(rows: &[BlockGroupRow], dslf: Isp, threshold_cv: f64) -> Mark
             cvs.iter().filter(|&&cv| cv < threshold_cv).count() as f64 / cvs.len() as f64
         }
     };
-    let composite: Vec<f64> = best.values().copied().collect();
+    let composite: Vec<f64> = best.into_iter().flatten().collect();
     MarkupComparison {
         dslf_groups: dslf_cvs.len(),
         dslf_bad_frac: bad(&dslf_cvs),
@@ -69,9 +70,10 @@ pub fn markup_view(rows: &[BlockGroupRow], dslf: Isp, threshold_cv: f64) -> Mark
 /// Returns `None` with fewer than 10 comparable groups or a constant
 /// margin.
 pub fn upload_consistency(records: &[PlanRecord], isp: Isp) -> Option<f64> {
-    // Per block group: median best download-cv and median best upload-cv.
-    let mut down: HashMap<usize, Vec<f64>> = HashMap::new();
-    let mut up: HashMap<usize, Vec<f64>> = HashMap::new();
+    // Per block group, indexed by `bg_index` so the groups pair up in one
+    // fixed order: every address's best download-cv and best upload-cv.
+    let n_groups = records.iter().map(|r| r.bg_index + 1).max().unwrap_or(0);
+    let mut cvs: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); n_groups];
     for r in records.iter().filter(|r| r.isp == isp) {
         if r.plans.is_empty() {
             continue;
@@ -86,16 +88,15 @@ pub fn upload_consistency(records: &[PlanRecord], isp: Isp) -> Option<f64> {
             .iter()
             .map(|p| p.upload_mbps / p.price_usd)
             .fold(f64::MIN, f64::max);
-        down.entry(r.bg_index).or_default().push(best_down);
-        up.entry(r.bg_index).or_default().push(best_up);
+        let (down, up) = &mut cvs[r.bg_index];
+        down.push(best_down);
+        up.push(best_up);
     }
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (bg, d) in &down {
-        let u = &up[bg];
-        xs.push(bbsim_stats::median(d).expect("non-empty"));
-        ys.push(bbsim_stats::median(u).expect("non-empty"));
-    }
+    // Groups this ISP never answered in have no medians and drop out.
+    let (xs, ys): (Vec<f64>, Vec<f64>) = cvs
+        .iter()
+        .filter_map(|(down, up)| Some((bbsim_stats::median(down)?, bbsim_stats::median(up)?)))
+        .unzip();
     if xs.len() < 10 {
         return None;
     }

@@ -22,7 +22,6 @@
 use crate::income::public_acs;
 use bbsim_census::{CityProfile, IncomeBand};
 use bbsim_dataset::PlanRecord;
-use std::collections::HashMap;
 
 /// An intervention applied to the scraped plan data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,19 +80,22 @@ pub fn evaluate_intervention(
 ) -> Option<EquityOutcome> {
     let acs = public_acs(city);
 
-    // Per block group: best cv after the intervention, plus whether the
-    // group is observed fiber-served (drives the buildout counterfactual).
-    let mut best: HashMap<usize, f64> = HashMap::new();
-    let mut band: HashMap<usize, IncomeBand> = HashMap::new();
-    let mut has_fiber: HashMap<usize, bool> = HashMap::new();
+    // Per block group, indexed by `bg_index` (so every walk below runs in
+    // one fixed order): best cv after the intervention, income band, and
+    // whether the group is observed fiber-served (drives the buildout
+    // counterfactual).
+    let n_groups = records.iter().map(|r| r.bg_index + 1).max().unwrap_or(0);
+    let mut best: Vec<Option<f64>> = vec![None; n_groups];
+    let mut band: Vec<Option<IncomeBand>> = vec![None; n_groups];
+    let mut has_fiber = vec![false; n_groups];
     for r in records {
         let Some(demo) = acs.get(r.block_group) else {
             continue;
         };
-        band.insert(r.bg_index, demo.income_band);
+        band[r.bg_index] = Some(demo.income_band);
         let low = demo.income_band == IncomeBand::Low;
         if r.best_plan_is_fiber() == Some(true) {
-            has_fiber.insert(r.bg_index, true);
+            has_fiber[r.bg_index] = true;
         }
         for p in &r.plans {
             // Prune the observed ACP tail so subsidized outliers do not
@@ -109,7 +111,7 @@ pub fn evaluate_intervention(
                 _ => p.price_usd,
             };
             let cv = p.download_mbps / price;
-            let e = best.entry(r.bg_index).or_insert(f64::MIN);
+            let e = best[r.bg_index].get_or_insert(f64::MIN);
             *e = e.max(cv);
         }
     }
@@ -120,12 +122,12 @@ pub fn evaluate_intervention(
         // it provokes from cable.
         let fiber_best: Vec<f64> = best
             .iter()
-            .filter(|(bg, _)| has_fiber.get(bg) == Some(&true))
-            .map(|(_, &cv)| cv)
+            .zip(&has_fiber)
+            .filter_map(|(cv, &fiber)| cv.filter(|_| fiber))
             .collect();
         if let Some(typical) = bbsim_stats::median(&fiber_best) {
-            for (&bg, cv) in best.iter_mut() {
-                if band.get(&bg) == Some(&IncomeBand::Low) {
+            for (cv, b) in best.iter_mut().zip(&band) {
+                if let (Some(cv), Some(IncomeBand::Low)) = (cv, b) {
                     *cv = cv.max(typical);
                 }
             }
@@ -137,11 +139,11 @@ pub fn evaluate_intervention(
     };
     let mut low_cvs = Vec::new();
     let mut high_cvs = Vec::new();
-    for (bg, cv) in &best {
-        match band.get(bg) {
-            Some(IncomeBand::Low) => low_cvs.push(*cv),
-            Some(IncomeBand::High) => high_cvs.push(*cv),
-            None => {}
+    for (cv, b) in best.iter().zip(&band) {
+        match (cv, b) {
+            (Some(cv), Some(IncomeBand::Low)) => low_cvs.push(*cv),
+            (Some(cv), Some(IncomeBand::High)) => high_cvs.push(*cv),
+            _ => {}
         }
     }
     if low_cvs.len() < 10 || high_cvs.len() < 10 {

@@ -8,6 +8,11 @@
 //! schema-drift guard both lean on. Unknown event names, missing fields,
 //! extra fields or non-canonical values are all hard errors — schema drift
 //! fails loudly instead of rotting logs.
+//!
+//! This file holds only the framing (`t`, `ev`), the strict tokenizer and
+//! the per-type `WireField` codec. The per-event field lists come from
+//! the schema table that declares [`EventKind`], so a new event needs no
+//! edit here.
 
 use super::{Event, EventKind, FaultClass, OutcomeCode, Recorder};
 use bbsim_net::SimTime;
@@ -17,167 +22,11 @@ use std::io::Write;
 /// Serializes one event to its canonical JSONL line (no trailing newline).
 pub fn to_line(event: &Event) -> String {
     let mut w = LineWriter::new(event.at.as_millis(), event.kind.name());
-    match &event.kind {
-        EventKind::CampaignBegin {
-            seed,
-            n_jobs,
-            n_workers,
-        } => {
-            w.num("seed", *seed);
-            w.num("n_jobs", *n_jobs as u64);
-            w.num("n_workers", *n_workers as u64);
-        }
-        EventKind::CampaignEnd { makespan_ms } => w.num("makespan_ms", *makespan_ms),
-        EventKind::WorkerBegin { worker } => w.num("worker", *worker as u64),
-        EventKind::WorkerEnd { worker } => w.num("worker", *worker as u64),
-        EventKind::JobBegin { tag, endpoint } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::JobEnd {
-            tag,
-            outcome,
-            attempts,
-            dead_lettered,
-        } => {
-            w.num("tag", *tag);
-            w.str("outcome", outcome.as_str());
-            w.num("attempts", *attempts as u64);
-            w.boolean("dead_lettered", *dead_lettered);
-        }
-        EventKind::AttemptBegin {
-            tag,
-            attempt,
-            worker,
-            endpoint,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("worker", *worker as u64);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::AttemptEnd {
-            tag,
-            attempt,
-            worker,
-            endpoint,
-            outcome,
-            duration_ms,
-            steps,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("worker", *worker as u64);
-            w.str("endpoint", endpoint);
-            w.str("outcome", outcome.as_str());
-            w.num("duration_ms", *duration_ms);
-            w.num("steps", *steps as u64);
-        }
-        EventKind::Retry {
-            tag,
-            next_attempt,
-            delay_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("next_attempt", *next_attempt as u64);
-            w.num("delay_ms", *delay_ms);
-        }
-        EventKind::BreakerTrip { endpoint } => w.str("endpoint", endpoint),
-        EventKind::BreakerDefer {
-            tag,
-            endpoint,
-            until_ms,
-        } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-            w.num("until_ms", *until_ms);
-        }
-        EventKind::ShedCut { limit } => w.num("limit", *limit as u64),
-        EventKind::ShedRaise { limit } => w.num("limit", *limit as u64),
-        EventKind::StallReclaimed { tag, worker } => {
-            w.num("tag", *tag);
-            w.num("worker", *worker as u64);
-        }
-        EventKind::DriftSuspected { tag, endpoint } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::RebootstrapStarted { endpoint } => w.str("endpoint", endpoint),
-        EventKind::TemplateSwapped {
-            endpoint,
-            generation,
-        } => {
-            w.str("endpoint", endpoint);
-            w.num("generation", *generation as u64);
-        }
-        EventKind::RebootstrapCompleted {
-            endpoint,
-            confidence_pct,
-        } => {
-            w.str("endpoint", endpoint);
-            w.num("confidence_pct", *confidence_pct as u64);
-        }
-        EventKind::ServeLookupEnd {
-            tag,
-            shard,
-            endpoint,
-            outcome,
-            cache_hit,
-            duration_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("shard", *shard as u64);
-            w.str("endpoint", endpoint);
-            w.str("outcome", outcome.as_str());
-            w.boolean("cache_hit", *cache_hit);
-            w.num("duration_ms", *duration_ms);
-        }
-        EventKind::CacheEvicted { shard, key } => {
-            w.num("shard", *shard as u64);
-            w.str("key", key);
-        }
-        EventKind::ServeShed { shard, endpoint } => {
-            w.num("shard", *shard as u64);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::JournalReplay { tag, attempt } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-        }
-        EventKind::FaultInjected { endpoint, fault } => {
-            w.str("endpoint", endpoint);
-            w.str("fault", fault.as_str());
-        }
-        EventKind::AlertFired { rule, exemplars } => {
-            w.str("rule", rule);
-            w.str("exemplars", exemplars);
-        }
-        EventKind::AlertResolved { rule } => w.str("rule", rule),
-        EventKind::PageFetchBegin {
-            tag,
-            attempt,
-            fetch,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("fetch", *fetch as u64);
-        }
-        EventKind::PageFetchEnd {
-            tag,
-            attempt,
-            fetch,
-            duration_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("fetch", *fetch as u64);
-            w.num("duration_ms", *duration_ms);
-        }
-    }
+    event.kind.write_fields(&mut w);
     w.finish()
 }
 
-struct LineWriter {
+pub(super) struct LineWriter {
     buf: String,
 }
 
@@ -203,7 +52,9 @@ impl LineWriter {
 
     fn num(&mut self, key: &str, v: u64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
+        // Formats straight into the line, with no temporary `String`;
+        // writing to a `String` cannot fail.
+        let _ = fmt::Write::write_fmt(&mut self.buf, format_args!("{v}"));
     }
 
     fn str(&mut self, key: &str, v: &str) {
@@ -263,130 +114,10 @@ enum Val {
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
     let fields = tokenize(line)?;
     let mut f = Fields::new(&fields);
-    let t = f.num("t")?;
-    let ev = f.str("ev")?;
-    let kind = match ev.as_str() {
-        "campaign_begin" => EventKind::CampaignBegin {
-            seed: f.num("seed")?,
-            n_jobs: f.num_u32("n_jobs")?,
-            n_workers: f.num_u32("n_workers")?,
-        },
-        "campaign_end" => EventKind::CampaignEnd {
-            makespan_ms: f.num("makespan_ms")?,
-        },
-        "worker_begin" => EventKind::WorkerBegin {
-            worker: f.num_u32("worker")?,
-        },
-        "worker_end" => EventKind::WorkerEnd {
-            worker: f.num_u32("worker")?,
-        },
-        "job_begin" => EventKind::JobBegin {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "job_end" => EventKind::JobEnd {
-            tag: f.num("tag")?,
-            outcome: f.outcome("outcome")?,
-            attempts: f.num_u32("attempts")?,
-            dead_lettered: f.boolean("dead_lettered")?,
-        },
-        "attempt_begin" => EventKind::AttemptBegin {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            worker: f.num_u32("worker")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "attempt_end" => EventKind::AttemptEnd {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            worker: f.num_u32("worker")?,
-            endpoint: f.str("endpoint")?,
-            outcome: f.outcome("outcome")?,
-            duration_ms: f.num("duration_ms")?,
-            steps: f.num_u32("steps")?,
-        },
-        "retry" => EventKind::Retry {
-            tag: f.num("tag")?,
-            next_attempt: f.num_u32("next_attempt")?,
-            delay_ms: f.num("delay_ms")?,
-        },
-        "breaker_trip" => EventKind::BreakerTrip {
-            endpoint: f.str("endpoint")?,
-        },
-        "breaker_defer" => EventKind::BreakerDefer {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-            until_ms: f.num("until_ms")?,
-        },
-        "shed_cut" => EventKind::ShedCut {
-            limit: f.num_u32("limit")?,
-        },
-        "shed_raise" => EventKind::ShedRaise {
-            limit: f.num_u32("limit")?,
-        },
-        "stall_reclaimed" => EventKind::StallReclaimed {
-            tag: f.num("tag")?,
-            worker: f.num_u32("worker")?,
-        },
-        "drift_suspected" => EventKind::DriftSuspected {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "rebootstrap_started" => EventKind::RebootstrapStarted {
-            endpoint: f.str("endpoint")?,
-        },
-        "template_swapped" => EventKind::TemplateSwapped {
-            endpoint: f.str("endpoint")?,
-            generation: f.num_u32("generation")?,
-        },
-        "rebootstrap_completed" => EventKind::RebootstrapCompleted {
-            endpoint: f.str("endpoint")?,
-            confidence_pct: f.num_u32("confidence_pct")?,
-        },
-        "serve_lookup_end" => EventKind::ServeLookupEnd {
-            tag: f.num("tag")?,
-            shard: f.num_u32("shard")?,
-            endpoint: f.str("endpoint")?,
-            outcome: f.outcome("outcome")?,
-            cache_hit: f.boolean("cache_hit")?,
-            duration_ms: f.num("duration_ms")?,
-        },
-        "cache_evicted" => EventKind::CacheEvicted {
-            shard: f.num_u32("shard")?,
-            key: f.str("key")?,
-        },
-        "serve_shed" => EventKind::ServeShed {
-            shard: f.num_u32("shard")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "journal_replay" => EventKind::JournalReplay {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-        },
-        "fault_injected" => EventKind::FaultInjected {
-            endpoint: f.str("endpoint")?,
-            fault: f.fault("fault")?,
-        },
-        "alert_fired" => EventKind::AlertFired {
-            rule: f.str("rule")?,
-            exemplars: f.str("exemplars")?,
-        },
-        "alert_resolved" => EventKind::AlertResolved {
-            rule: f.str("rule")?,
-        },
-        "page_fetch_begin" => EventKind::PageFetchBegin {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            fetch: f.num_u32("fetch")?,
-        },
-        "page_fetch_end" => EventKind::PageFetchEnd {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            fetch: f.num_u32("fetch")?,
-            duration_ms: f.num("duration_ms")?,
-        },
-        other => return Err(ParseError::new(format!("unknown event name {other:?}"))),
-    };
+    let t = u64::read("t", &mut f)?;
+    let ev = String::read("ev", &mut f)?;
+    let kind = EventKind::read_fields(&ev, &mut f)?
+        .ok_or_else(|| ParseError::new(format!("unknown event name {ev:?}")))?;
     f.done()?;
     Ok(Event {
         at: SimTime::from_millis(t),
@@ -396,7 +127,7 @@ pub fn parse_line(line: &str) -> Result<Event, ParseError> {
 
 /// Strict field cursor: canonical lines name every field exactly once, in
 /// schema order, with nothing extra.
-struct Fields<'a> {
+pub(super) struct Fields<'a> {
     fields: &'a [(String, Val)],
     i: usize,
 }
@@ -420,42 +151,6 @@ impl<'a> Fields<'a> {
         Ok(v)
     }
 
-    fn num(&mut self, key: &str) -> Result<u64, ParseError> {
-        match self.next(key)? {
-            Val::Num(n) => Ok(*n),
-            _ => Err(ParseError::new(format!("field {key:?} is not a number"))),
-        }
-    }
-
-    fn num_u32(&mut self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.num(key)?)
-            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
-    }
-
-    fn str(&mut self, key: &str) -> Result<String, ParseError> {
-        match self.next(key)? {
-            Val::Str(s) => Ok(s.clone()),
-            _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
-        }
-    }
-
-    fn boolean(&mut self, key: &str) -> Result<bool, ParseError> {
-        match self.next(key)? {
-            Val::Bool(b) => Ok(*b),
-            _ => Err(ParseError::new(format!("field {key:?} is not a bool"))),
-        }
-    }
-
-    fn outcome(&mut self, key: &str) -> Result<OutcomeCode, ParseError> {
-        let s = self.str(key)?;
-        OutcomeCode::parse(&s).ok_or_else(|| ParseError::new(format!("unknown outcome {s:?}")))
-    }
-
-    fn fault(&mut self, key: &str) -> Result<FaultClass, ParseError> {
-        let s = self.str(key)?;
-        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
-    }
-
     fn done(&self) -> Result<(), ParseError> {
         if self.i == self.fields.len() {
             Ok(())
@@ -465,6 +160,85 @@ impl<'a> Fields<'a> {
                 self.fields[self.i].0
             )))
         }
+    }
+}
+
+/// The JSONL codec of one event field type. The schema table calls it
+/// once per field, in declaration order, with the field's name as key.
+pub(super) trait WireField: Sized {
+    fn write(&self, key: &str, w: &mut LineWriter);
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError>;
+}
+
+impl WireField for u64 {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.num(key, *self);
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        match f.next(key)? {
+            Val::Num(n) => Ok(*n),
+            _ => Err(ParseError::new(format!("field {key:?} is not a number"))),
+        }
+    }
+}
+
+impl WireField for u32 {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.num(key, u64::from(*self));
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        u32::try_from(u64::read(key, f)?)
+            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
+    }
+}
+
+impl WireField for String {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.str(key, self);
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        match f.next(key)? {
+            Val::Str(s) => Ok(s.clone()),
+            _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
+        }
+    }
+}
+
+impl WireField for bool {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.boolean(key, *self);
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        match f.next(key)? {
+            Val::Bool(b) => Ok(*b),
+            _ => Err(ParseError::new(format!("field {key:?} is not a bool"))),
+        }
+    }
+}
+
+impl WireField for OutcomeCode {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.str(key, self.as_str());
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        let s = String::read(key, f)?;
+        OutcomeCode::parse(&s).ok_or_else(|| ParseError::new(format!("unknown outcome {s:?}")))
+    }
+}
+
+impl WireField for FaultClass {
+    fn write(&self, key: &str, w: &mut LineWriter) {
+        w.str(key, self.as_str());
+    }
+
+    fn read(key: &str, f: &mut Fields<'_>) -> Result<Self, ParseError> {
+        let s = String::read(key, f)?;
+        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
     }
 }
 

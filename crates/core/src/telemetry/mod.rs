@@ -9,6 +9,17 @@
 //! discrete-event loop; everything an operator used to dig out of ad-hoc
 //! report fields is now derivable from the stream.
 //!
+//! ## Schema
+//!
+//! Every event kind is declared once, as one row of the `event_schema!`
+//! table below: its doc comment, `#[wire("name", stable | ephemeral)]` and
+//! its typed fields. The table generates [`EventKind`],
+//! [`EventKind::name`], [`EventKind::replay_stable`] and the JSONL field
+//! writer and reader that [`jsonl::to_line`] and [`jsonl::parse_line`]
+//! call. Adding an event is one table row plus one arm in
+//! [`MetricsAggregator::observe`], the one hand-written consumer that
+//! divide-lint (rule E1) keeps exhaustive.
+//!
 //! ## Recorders
 //!
 //! A [`Recorder`] receives each event by reference. Shipped recorders:
@@ -145,205 +156,215 @@ impl FaultClass {
     }
 }
 
-/// Everything a campaign can narrate.
+/// Declares [`EventKind`] from one schema table.
 ///
-/// Span kinds come in `…Begin`/`…End` pairs keyed by their identifying
-/// fields (worker id, job tag, `(tag, attempt)`, `(tag, attempt, fetch)`);
-/// every begin gets exactly one end at a timestamp `>=` its own. The rest
-/// are instants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// Campaign span opens at virtual zero.
-    CampaignBegin {
-        seed: u64,
-        n_jobs: u32,
-        n_workers: u32,
-    },
-    /// Campaign span closes at the makespan.
-    CampaignEnd { makespan_ms: u64 },
-    /// Worker `worker` enters the pool (at its staggered start).
-    WorkerBegin { worker: u32 },
-    /// Worker `worker` retires (at the makespan).
-    WorkerEnd { worker: u32 },
-    /// First attempt of job `tag` starts.
-    JobBegin { tag: u64, endpoint: String },
-    /// Job `tag` produced its final record.
-    JobEnd {
-        tag: u64,
-        outcome: OutcomeCode,
-        attempts: u32,
-        dead_lettered: bool,
-    },
-    /// Attempt `attempt` of job `tag` starts on `worker`.
-    AttemptBegin {
-        tag: u64,
-        attempt: u32,
-        worker: u32,
-        endpoint: String,
-    },
-    /// The attempt finished (live or replayed) and its time was charged.
-    AttemptEnd {
-        tag: u64,
-        attempt: u32,
-        worker: u32,
-        endpoint: String,
-        outcome: OutcomeCode,
-        duration_ms: u64,
-        steps: u32,
-    },
-    /// A retryable outcome was requeued with backoff.
-    Retry {
-        tag: u64,
-        next_attempt: u32,
-        delay_ms: u64,
-    },
-    /// A circuit breaker opened (or re-opened) on `endpoint`.
-    BreakerTrip { endpoint: String },
-    /// An open circuit deferred job `tag` until `until_ms`.
-    BreakerDefer {
-        tag: u64,
-        endpoint: String,
-        until_ms: u64,
-    },
-    /// The shed controller cut the concurrency ceiling to `limit`.
-    ShedCut { limit: u32 },
-    /// The shed controller raised the concurrency ceiling to `limit`.
-    ShedRaise { limit: u32 },
-    /// The watchdog reclaimed `worker` from a hung session.
-    StallReclaimed { tag: u64, worker: u32 },
-    /// An attempt against `endpoint` hit an unrecognized page — one drift
-    /// sighting charged to the attempt's job `tag`.
-    DriftSuspected { tag: u64, endpoint: String },
-    /// The drift monitor crossed its re-bootstrap threshold: `endpoint` is
-    /// quarantined and a structural probe burst begins.
-    RebootstrapStarted { endpoint: String },
-    /// The probe burst classified the endpoint's markup as template
-    /// `generation` and the orchestrator swapped the learned set in.
-    TemplateSwapped { endpoint: String, generation: u32 },
-    /// The endpoint left quarantine; `confidence_pct` is the fraction of
-    /// probe pages the winning template set recognized, in percent.
-    RebootstrapCompleted {
-        endpoint: String,
-        confidence_pct: u32,
-    },
-    /// A serve-layer lookup completed: the plan store answered (from the
-    /// LRU answer cache or the shard index) and the response crossed the
-    /// wire. `duration_ms` is the requester-perceived latency — queueing
-    /// wait plus the full round trip.
-    ServeLookupEnd {
-        tag: u64,
-        shard: u32,
-        endpoint: String,
-        outcome: OutcomeCode,
-        cache_hit: bool,
-        duration_ms: u64,
-    },
-    /// The serve answer cache evicted `key` to admit a new entry. The
-    /// eviction order is part of the serve determinism contract: same
-    /// seed + same request stream → byte-identical eviction log.
-    CacheEvicted { shard: u32, key: String },
-    /// The serve layer refused a lookup at admission: the shard's queue
-    /// was too deep for the request to meet its latency budget.
-    ServeShed { shard: u32, endpoint: String },
-    /// The attempt was answered from the journal, not the transport.
-    /// *Ephemeral*: only resumed runs emit it.
-    JournalReplay { tag: u64, attempt: u32 },
-    /// The transport injected a fault into a live page fetch. *Ephemeral.*
-    FaultInjected { endpoint: String, fault: FaultClass },
-    /// A monitor SLO rule crossed its threshold (with hysteresis) and an
-    /// alert opened. *Ephemeral*: alerts are an observer's judgement, not
-    /// part of the campaign's replayable schedule.
-    AlertFired {
-        rule: String,
-        /// Comma-joined slowest-trace exemplar ids current at fire time
-        /// (see [`crate::trace::ExemplarReservoir`]) — the page names the
-        /// offending traces.
-        exemplars: String,
-    },
-    /// The rule's signal recovered and the alert closed. *Ephemeral.*
-    AlertResolved { rule: String },
-    /// A live page fetch (one transport round trip) started. *Ephemeral.*
-    PageFetchBegin { tag: u64, attempt: u32, fetch: u32 },
-    /// The page fetch finished (including the settle wait). *Ephemeral.*
-    PageFetchEnd {
-        tag: u64,
-        attempt: u32,
-        fetch: u32,
-        duration_ms: u64,
-    },
+/// Each row is a variant: its doc comment, `#[wire(name, class)]` (the
+/// JSONL wire name and the stability class, `stable` or `ephemeral`) and
+/// its typed fields. From the table the macro generates the enum, the
+/// `name()` and `replay_stable()` maps, and the JSONL field codec that
+/// writes and reads the variant's fields in declaration order, one
+/// `jsonl::WireField` call per field. Adding an event is one row here
+/// plus one arm in [`MetricsAggregator::observe`]; the compiler checks
+/// every generated surface.
+macro_rules! event_schema {
+    (@stable stable) => {
+        true
+    };
+    (@stable ephemeral) => {
+        false
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[doc = $doc:literal])*
+                #[wire($wire:literal, $class:ident)]
+                $variant:ident {
+                    $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[doc = $doc])*
+                $variant { $($(#[doc = $fdoc])* $field: $ty),* },
+            )*
+        }
+
+        impl $name {
+            /// Whether a journaled resume retraces this event identically.
+            ///
+            /// Stable events are functions of the campaign's schedule,
+            /// outcomes and virtual times — all reconstructed exactly from
+            /// the journal. The ephemeral ones describe live transport work
+            /// (page fetches, fault injections) or the act of replaying
+            /// itself, which an uninterrupted run and a resumed run
+            /// necessarily disagree on.
+            pub fn replay_stable(&self) -> bool {
+                match self {
+                    $($name::$variant { .. } => event_schema!(@stable $class),)*
+                }
+            }
+
+            /// The event's name in the JSONL schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $wire,)*
+                }
+            }
+
+            /// Writes the variant's fields, in declaration order.
+            fn write_fields(&self, w: &mut jsonl::LineWriter) {
+                match self {
+                    $($name::$variant { $($field),* } => {
+                        $(jsonl::WireField::write($field, stringify!($field), w);)*
+                    })*
+                }
+            }
+
+            /// Reads the fields of the variant whose wire name is `wire`,
+            /// in declaration order; `None` for an unknown name.
+            fn read_fields(
+                wire: &str,
+                f: &mut jsonl::Fields<'_>,
+            ) -> Result<Option<Self>, ParseError> {
+                Ok(Some(match wire {
+                    $($wire => $name::$variant {
+                        $($field: jsonl::WireField::read(stringify!($field), f)?),*
+                    },)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
 }
 
-impl EventKind {
-    /// Whether a journaled resume retraces this event identically.
+event_schema! {
+    /// Everything a campaign can narrate.
     ///
-    /// Stable events are functions of the campaign's schedule, outcomes and
-    /// virtual times — all reconstructed exactly from the journal. The
-    /// ephemeral ones describe live transport work (page fetches, fault
-    /// injections) or the act of replaying itself, which an uninterrupted
-    /// run and a resumed run necessarily disagree on.
-    pub fn replay_stable(&self) -> bool {
-        match self {
-            EventKind::CampaignBegin { .. }
-            | EventKind::CampaignEnd { .. }
-            | EventKind::WorkerBegin { .. }
-            | EventKind::WorkerEnd { .. }
-            | EventKind::JobBegin { .. }
-            | EventKind::JobEnd { .. }
-            | EventKind::AttemptBegin { .. }
-            | EventKind::AttemptEnd { .. }
-            | EventKind::Retry { .. }
-            | EventKind::BreakerTrip { .. }
-            | EventKind::BreakerDefer { .. }
-            | EventKind::ShedCut { .. }
-            | EventKind::ShedRaise { .. }
-            | EventKind::StallReclaimed { .. }
-            | EventKind::DriftSuspected { .. }
-            | EventKind::RebootstrapStarted { .. }
-            | EventKind::TemplateSwapped { .. }
-            | EventKind::RebootstrapCompleted { .. }
-            | EventKind::ServeLookupEnd { .. }
-            | EventKind::CacheEvicted { .. }
-            | EventKind::ServeShed { .. } => true,
-            EventKind::JournalReplay { .. }
-            | EventKind::FaultInjected { .. }
-            | EventKind::PageFetchBegin { .. }
-            | EventKind::PageFetchEnd { .. }
-            | EventKind::AlertFired { .. }
-            | EventKind::AlertResolved { .. } => false,
-        }
-    }
-
-    /// The event's name in the JSONL schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::CampaignBegin { .. } => "campaign_begin",
-            EventKind::CampaignEnd { .. } => "campaign_end",
-            EventKind::WorkerBegin { .. } => "worker_begin",
-            EventKind::WorkerEnd { .. } => "worker_end",
-            EventKind::JobBegin { .. } => "job_begin",
-            EventKind::JobEnd { .. } => "job_end",
-            EventKind::AttemptBegin { .. } => "attempt_begin",
-            EventKind::AttemptEnd { .. } => "attempt_end",
-            EventKind::Retry { .. } => "retry",
-            EventKind::BreakerTrip { .. } => "breaker_trip",
-            EventKind::BreakerDefer { .. } => "breaker_defer",
-            EventKind::ShedCut { .. } => "shed_cut",
-            EventKind::ShedRaise { .. } => "shed_raise",
-            EventKind::StallReclaimed { .. } => "stall_reclaimed",
-            EventKind::DriftSuspected { .. } => "drift_suspected",
-            EventKind::RebootstrapStarted { .. } => "rebootstrap_started",
-            EventKind::TemplateSwapped { .. } => "template_swapped",
-            EventKind::RebootstrapCompleted { .. } => "rebootstrap_completed",
-            EventKind::ServeLookupEnd { .. } => "serve_lookup_end",
-            EventKind::CacheEvicted { .. } => "cache_evicted",
-            EventKind::ServeShed { .. } => "serve_shed",
-            EventKind::JournalReplay { .. } => "journal_replay",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::AlertFired { .. } => "alert_fired",
-            EventKind::AlertResolved { .. } => "alert_resolved",
-            EventKind::PageFetchBegin { .. } => "page_fetch_begin",
-            EventKind::PageFetchEnd { .. } => "page_fetch_end",
-        }
+    /// Span kinds come in `…Begin`/`…End` pairs keyed by their identifying
+    /// fields (worker id, job tag, `(tag, attempt)`, `(tag, attempt, fetch)`);
+    /// every begin gets exactly one end at a timestamp `>=` its own. The rest
+    /// are instants.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// Campaign span opens at virtual zero.
+        #[wire("campaign_begin", stable)]
+        CampaignBegin { seed: u64, n_jobs: u32, n_workers: u32 },
+        /// Campaign span closes at the makespan.
+        #[wire("campaign_end", stable)]
+        CampaignEnd { makespan_ms: u64 },
+        /// Worker `worker` enters the pool (at its staggered start).
+        #[wire("worker_begin", stable)]
+        WorkerBegin { worker: u32 },
+        /// Worker `worker` retires (at the makespan).
+        #[wire("worker_end", stable)]
+        WorkerEnd { worker: u32 },
+        /// First attempt of job `tag` starts.
+        #[wire("job_begin", stable)]
+        JobBegin { tag: u64, endpoint: String },
+        /// Job `tag` produced its final record.
+        #[wire("job_end", stable)]
+        JobEnd { tag: u64, outcome: OutcomeCode, attempts: u32, dead_lettered: bool },
+        /// Attempt `attempt` of job `tag` starts on `worker`.
+        #[wire("attempt_begin", stable)]
+        AttemptBegin { tag: u64, attempt: u32, worker: u32, endpoint: String },
+        /// The attempt finished (live or replayed) and its time was charged.
+        #[wire("attempt_end", stable)]
+        AttemptEnd {
+            tag: u64,
+            attempt: u32,
+            worker: u32,
+            endpoint: String,
+            outcome: OutcomeCode,
+            duration_ms: u64,
+            steps: u32,
+        },
+        /// A retryable outcome was requeued with backoff.
+        #[wire("retry", stable)]
+        Retry { tag: u64, next_attempt: u32, delay_ms: u64 },
+        /// A circuit breaker opened (or re-opened) on `endpoint`.
+        #[wire("breaker_trip", stable)]
+        BreakerTrip { endpoint: String },
+        /// An open circuit deferred job `tag` until `until_ms`.
+        #[wire("breaker_defer", stable)]
+        BreakerDefer { tag: u64, endpoint: String, until_ms: u64 },
+        /// The shed controller cut the concurrency ceiling to `limit`.
+        #[wire("shed_cut", stable)]
+        ShedCut { limit: u32 },
+        /// The shed controller raised the concurrency ceiling to `limit`.
+        #[wire("shed_raise", stable)]
+        ShedRaise { limit: u32 },
+        /// The watchdog reclaimed `worker` from a hung session.
+        #[wire("stall_reclaimed", stable)]
+        StallReclaimed { tag: u64, worker: u32 },
+        /// An attempt against `endpoint` hit an unrecognized page — one drift
+        /// sighting charged to the attempt's job `tag`.
+        #[wire("drift_suspected", stable)]
+        DriftSuspected { tag: u64, endpoint: String },
+        /// The drift monitor crossed its re-bootstrap threshold: `endpoint` is
+        /// quarantined and a structural probe burst begins.
+        #[wire("rebootstrap_started", stable)]
+        RebootstrapStarted { endpoint: String },
+        /// The probe burst classified the endpoint's markup as template
+        /// `generation` and the orchestrator swapped the learned set in.
+        #[wire("template_swapped", stable)]
+        TemplateSwapped { endpoint: String, generation: u32 },
+        /// The endpoint left quarantine; `confidence_pct` is the fraction of
+        /// probe pages the winning template set recognized, in percent.
+        #[wire("rebootstrap_completed", stable)]
+        RebootstrapCompleted { endpoint: String, confidence_pct: u32 },
+        /// A serve-layer lookup completed: the plan store answered (from the
+        /// LRU answer cache or the shard index) and the response crossed the
+        /// wire. `duration_ms` is the requester-perceived latency — queueing
+        /// wait plus the full round trip.
+        #[wire("serve_lookup_end", stable)]
+        ServeLookupEnd {
+            tag: u64,
+            shard: u32,
+            endpoint: String,
+            outcome: OutcomeCode,
+            cache_hit: bool,
+            duration_ms: u64,
+        },
+        /// The serve answer cache evicted `key` to admit a new entry. The
+        /// eviction order is part of the serve determinism contract: same
+        /// seed + same request stream → byte-identical eviction log.
+        #[wire("cache_evicted", stable)]
+        CacheEvicted { shard: u32, key: String },
+        /// The serve layer refused a lookup at admission: the shard's queue
+        /// was too deep for the request to meet its latency budget.
+        #[wire("serve_shed", stable)]
+        ServeShed { shard: u32, endpoint: String },
+        /// The attempt was answered from the journal, not the transport.
+        /// Only resumed runs emit it.
+        #[wire("journal_replay", ephemeral)]
+        JournalReplay { tag: u64, attempt: u32 },
+        /// The transport injected a fault into a live page fetch.
+        #[wire("fault_injected", ephemeral)]
+        FaultInjected { endpoint: String, fault: FaultClass },
+        /// A monitor SLO rule crossed its threshold (with hysteresis) and an
+        /// alert opened. Alerts are an observer's judgement, not part of the
+        /// campaign's replayable schedule.
+        #[wire("alert_fired", ephemeral)]
+        AlertFired {
+            rule: String,
+            /// Comma-joined slowest-trace exemplar ids current at fire time
+            /// (see [`crate::trace::ExemplarReservoir`]) — the page names the
+            /// offending traces.
+            exemplars: String,
+        },
+        /// The rule's signal recovered and the alert closed.
+        #[wire("alert_resolved", ephemeral)]
+        AlertResolved { rule: String },
+        /// A live page fetch (one transport round trip) started.
+        #[wire("page_fetch_begin", ephemeral)]
+        PageFetchBegin { tag: u64, attempt: u32, fetch: u32 },
+        /// The page fetch finished (including the settle wait).
+        #[wire("page_fetch_end", ephemeral)]
+        PageFetchEnd { tag: u64, attempt: u32, fetch: u32, duration_ms: u64 },
     }
 }
 

@@ -14,9 +14,9 @@
 //!   that emit serialized or ordered artifacts;
 //! * **D3 panic-safety** — no `unwrap()`/`expect()` in non-test
 //!   supervision code (orchestrator, driver, journal, monitor, telemetry);
-//! * **E1 telemetry exhaustiveness** — the `EventKind` enum, its JSONL
-//!   serializer/parser, the replay-stable filter and the
-//!   `MetricsAggregator` must all cover exactly the same variant set,
+//! * **E1 schema exhaustiveness** — every hand-written surface of a
+//!   closed schema (`EventKind`'s `MetricsAggregator`, the `ServeQuery`
+//!   and `SpanKind` maps, codecs and folds) covers the whole variant set,
 //!   with no wildcard arms;
 //! * **W1 lint posture** — every workspace member opts into the shared
 //!   `[workspace.lints]` table.
@@ -195,25 +195,21 @@ pub struct Config {
     pub harness_scopes: Vec<String>,
 }
 
-/// Where the telemetry schema and its consumers live.
+/// One closed enum schema E1 keeps exhaustive.
 #[derive(Debug, Clone)]
 pub struct E1Config {
-    /// File declaring the event enum, its `name()` map and the
-    /// replay-stable filter.
-    pub enum_file: String,
+    /// File declaring the enum.
+    pub enum_file: &'static str,
     /// The enum's type name (`EventKind`).
-    pub enum_name: String,
-    /// Method mapping variants to wire names.
-    pub name_fn: String,
-    /// The replay-stable subset filter.
-    pub stable_fn: String,
-    /// File holding the JSONL serializer and parser.
-    pub serializer_file: String,
-    pub serialize_fn: String,
-    pub parse_fn: String,
-    /// File holding the metrics aggregator.
-    pub aggregator_file: String,
-    pub aggregate_fn: String,
+    pub enum_name: &'static str,
+    /// `(label, file, fn)`: hand-written surfaces that must name every
+    /// variant, with no wildcard arm. `label` names the surface in
+    /// findings.
+    pub surfaces: Vec<(&'static str, &'static str, &'static str)>,
+    /// `(name_fn, file, parse_fn)`, for schemas whose parser is
+    /// hand-written: every wire name the map `name_fn` in the enum file
+    /// yields must appear as a string literal in `parse_fn`.
+    pub parser: Option<(&'static str, &'static str, &'static str)>,
 }
 
 impl Config {
@@ -227,44 +223,71 @@ impl Config {
             d2_scopes: scopes::owned(scopes::ORDERED_OUTPUT),
             d3_scopes: scopes::owned(scopes::SUPERVISION),
             e1: vec![
+                // The event schema: its table generates the wire names,
+                // the replay-stable filter and the JSONL codec, which the
+                // compiler checks. The aggregator is the one hand-written
+                // consumer that must stay exhaustive.
                 E1Config {
-                    enum_file: "crates/core/src/telemetry/mod.rs".into(),
-                    enum_name: "EventKind".into(),
-                    name_fn: "name".into(),
-                    stable_fn: "replay_stable".into(),
-                    serializer_file: "crates/core/src/telemetry/jsonl.rs".into(),
-                    serialize_fn: "to_line".into(),
-                    parse_fn: "parse_line".into(),
-                    aggregator_file: "crates/core/src/telemetry/aggregate.rs".into(),
-                    aggregate_fn: "observe".into(),
+                    enum_file: "crates/core/src/telemetry/mod.rs",
+                    enum_name: "EventKind",
+                    surfaces: vec![(
+                        "metrics aggregator",
+                        "crates/core/src/telemetry/aggregate.rs",
+                        "observe",
+                    )],
+                    parser: None,
                 },
                 // The serving wire schema: `ServeQuery` with its wire-name
                 // map, cacheability classifier, JSONL-stable codec and the
                 // store's exhaustive answer dispatch.
                 E1Config {
-                    enum_file: "crates/serve/src/api.rs".into(),
-                    enum_name: "ServeQuery".into(),
-                    name_fn: "wire_name".into(),
-                    stable_fn: "cacheable".into(),
-                    serializer_file: "crates/serve/src/api.rs".into(),
-                    serialize_fn: "query_to_line".into(),
-                    parse_fn: "parse_query_line".into(),
-                    aggregator_file: "crates/serve/src/store.rs".into(),
-                    aggregate_fn: "answer".into(),
+                    enum_file: "crates/serve/src/api.rs",
+                    enum_name: "ServeQuery",
+                    surfaces: vec![
+                        ("wire-name map", "crates/serve/src/api.rs", "wire_name"),
+                        (
+                            "replay-stable filter",
+                            "crates/serve/src/api.rs",
+                            "cacheable",
+                        ),
+                        (
+                            "JSONL serializer",
+                            "crates/serve/src/api.rs",
+                            "query_to_line",
+                        ),
+                        ("metrics aggregator", "crates/serve/src/store.rs", "answer"),
+                    ],
+                    parser: Some(("wire_name", "crates/serve/src/api.rs", "parse_query_line")),
                 },
                 // The span-tree schema: `SpanKind` with its wire-name map,
                 // attribution-class bucketing, Chrome trace-event emitter
                 // and the critical-path attribution fold.
                 E1Config {
-                    enum_file: "crates/core/src/trace/mod.rs".into(),
-                    enum_name: "SpanKind".into(),
-                    name_fn: "wire_name".into(),
-                    stable_fn: "bucket".into(),
-                    serializer_file: "crates/core/src/trace/perfetto.rs".into(),
-                    serialize_fn: "span_json".into(),
-                    parse_fn: "parse_span_kind".into(),
-                    aggregator_file: "crates/core/src/trace/attribution.rs".into(),
-                    aggregate_fn: "charge".into(),
+                    enum_file: "crates/core/src/trace/mod.rs",
+                    enum_name: "SpanKind",
+                    surfaces: vec![
+                        ("wire-name map", "crates/core/src/trace/mod.rs", "wire_name"),
+                        (
+                            "replay-stable filter",
+                            "crates/core/src/trace/mod.rs",
+                            "bucket",
+                        ),
+                        (
+                            "JSONL serializer",
+                            "crates/core/src/trace/perfetto.rs",
+                            "span_json",
+                        ),
+                        (
+                            "metrics aggregator",
+                            "crates/core/src/trace/attribution.rs",
+                            "charge",
+                        ),
+                    ],
+                    parser: Some((
+                        "wire_name",
+                        "crates/core/src/trace/perfetto.rs",
+                        "parse_span_kind",
+                    )),
                 },
             ],
             w1_member_dirs: Some(vec!["crates".into(), "vendor".into()]),
@@ -315,9 +338,9 @@ impl Config {
             .cloned()
             .collect();
         for e1 in &self.e1 {
-            scopes.push(e1.enum_file.clone());
-            scopes.push(e1.serializer_file.clone());
-            scopes.push(e1.aggregator_file.clone());
+            scopes.push(e1.enum_file.to_string());
+            scopes.extend(e1.surfaces.iter().map(|s| s.1.to_string()));
+            scopes.extend(e1.parser.iter().map(|p| p.1.to_string()));
         }
         scopes.sort();
         scopes.dedup();

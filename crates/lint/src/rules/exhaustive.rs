@@ -1,13 +1,13 @@
-//! **E1** — telemetry exhaustiveness: every `EventKind` variant must be
-//! covered by the JSONL serializer, the JSONL parser, the replay-stable
-//! subset filter, and the `MetricsAggregator` — and none of those
-//! surfaces may hide behind a wildcard arm.
+//! **E1** — schema exhaustiveness: every hand-written surface of a closed
+//! enum schema must name every variant and none may hide behind a
+//! wildcard arm; a hand-written parser must read back every wire name.
 //!
-//! This is what makes the wire format a *closed* schema: adding an event
-//! variant without teaching the serializer (or the parser its wire name)
-//! fails CI with a `file:line` diagnostic instead of silently dropping
-//! the event from `events.jsonl`, the resume byte-identity check, and
-//! the health dashboard.
+//! This is what makes a wire format a *closed* schema: adding a variant
+//! without teaching a surface fails CI with a `file:line` diagnostic
+//! instead of silently dropping the variant from a log, a dashboard or a
+//! fold. `EventKind` needs only its aggregator checked here: its schema
+//! table generates the wire names, the replay-stable filter and the JSONL
+//! codec, so the compiler checks those.
 
 use crate::lexer::TokKind;
 use crate::scan::{self, SourceFile};
@@ -22,7 +22,7 @@ pub fn check(cfg: &E1Config, files: &[SourceFile], findings: &mut Vec<Finding>) 
         ));
         return;
     };
-    let Some(variants) = scan::enum_variants(enum_file.tokens(), &cfg.enum_name) else {
+    let Some(variants) = scan::enum_variants(enum_file.tokens(), cfg.enum_name) else {
         findings.push(config_error(
             cfg,
             format!("enum {} not found in {}", cfg.enum_name, cfg.enum_file),
@@ -38,47 +38,19 @@ pub fn check(cfg: &E1Config, files: &[SourceFile], findings: &mut Vec<Finding>) 
     }
 
     // Variant-coverage surfaces: each must name every variant (as
-    // `EventKind::V`) and contain no `_ =>` wildcard arm.
-    let surfaces: [(&SourceFile, &str, &str); 4] = [
-        (enum_file, cfg.name_fn.as_str(), "wire-name map"),
-        (enum_file, cfg.stable_fn.as_str(), "replay-stable filter"),
-        (
-            match files.iter().find(|f| f.rel == cfg.serializer_file) {
-                Some(f) => f,
-                None => {
-                    findings.push(config_error(
-                        cfg,
-                        format!("serializer file {} not found", cfg.serializer_file),
-                    ));
-                    return;
-                }
-            },
-            cfg.serialize_fn.as_str(),
-            "JSONL serializer",
-        ),
-        (
-            match files.iter().find(|f| f.rel == cfg.aggregator_file) {
-                Some(f) => f,
-                None => {
-                    findings.push(config_error(
-                        cfg,
-                        format!("aggregator file {} not found", cfg.aggregator_file),
-                    ));
-                    return;
-                }
-            },
-            cfg.aggregate_fn.as_str(),
-            "metrics aggregator",
-        ),
-    ];
-
-    for (file, fn_name, label) in surfaces {
-        check_surface(cfg, file, fn_name, label, &variants, findings);
+    // `Enum::V`) and contain no `_ =>` wildcard arm.
+    for &(label, file, fn_name) in &cfg.surfaces {
+        match files.iter().find(|f| f.rel == file) {
+            Some(file) => check_surface(cfg, file, fn_name, label, &variants, findings),
+            None => findings.push(config_error(cfg, format!("{label} file {file} not found"))),
+        }
     }
 
-    // Parser coverage is by wire name: every string the `name()` map
-    // yields must appear as a string literal inside the parse fn.
-    check_parser(cfg, enum_file, files, &variants, findings);
+    // Parser coverage is by wire name: every string the name map yields
+    // must appear as a string literal inside the parse fn.
+    if let Some(parser) = cfg.parser {
+        check_parser(cfg, parser, enum_file, files, &variants, findings);
+    }
 }
 
 fn check_surface(
@@ -91,14 +63,7 @@ fn check_surface(
 ) {
     let tokens = file.tokens();
     let Some((fn_kw, open, close)) = scan::fn_span(tokens, fn_name) else {
-        findings.push(Finding {
-            file: file.rel.clone(),
-            line: 1,
-            col: 1,
-            rule: RuleId::E1,
-            message: format!("{label} `fn {fn_name}` not found"),
-            hint: format!("the telemetry schema requires `{fn_name}` to exist and stay exhaustive"),
-        });
+        findings.push(missing_fn(file, label, fn_name));
         return;
     };
     let at = &tokens[fn_kw];
@@ -107,8 +72,8 @@ fn check_surface(
     // Which variants does the body name as `Enum::Variant`?
     let mut covered = BTreeSet::new();
     for i in 0..body.len() {
-        if scan::is_ident(&body[i], &cfg.enum_name) {
-            if let Some(end) = scan::path_at(body, i, &[cfg.enum_name.as_str()]) {
+        if scan::is_ident(&body[i], cfg.enum_name) {
+            if let Some(end) = scan::path_at(body, i, &[cfg.enum_name]) {
                 if body.get(end).is_some_and(|t| scan::is_punct(t, ':'))
                     && body.get(end + 1).is_some_and(|t| scan::is_punct(t, ':'))
                 {
@@ -157,16 +122,22 @@ fn check_surface(
 
 fn check_parser(
     cfg: &E1Config,
+    (name_fn, file, parse_fn): (&str, &str, &str),
     enum_file: &SourceFile,
     files: &[SourceFile],
     variants: &[String],
     findings: &mut Vec<Finding>,
 ) {
-    let Some(parser_file) = files.iter().find(|f| f.rel == cfg.serializer_file) else {
-        return; // already reported
+    let Some(parser_file) = files.iter().find(|f| f.rel == file) else {
+        findings.push(config_error(
+            cfg,
+            format!("JSONL parser file {file} not found"),
+        ));
+        return;
     };
-    let Some((_, open, close)) = scan::fn_span(enum_file.tokens(), &cfg.name_fn) else {
-        return; // already reported
+    let Some((_, open, close)) = scan::fn_span(enum_file.tokens(), name_fn) else {
+        findings.push(missing_fn(enum_file, "wire-name map", name_fn));
+        return;
     };
     let wire_names: Vec<&str> = enum_file.tokens()[open..=close]
         .iter()
@@ -182,23 +153,15 @@ fn check_parser(
             col: enum_file.tokens()[open].col,
             rule: RuleId::E1,
             message: format!(
-                "wire-name map `fn {}` yields {} names for {} variants",
-                cfg.name_fn,
+                "wire-name map `fn {name_fn}` yields {} names for {} variants",
                 wire_names.len(),
                 variants.len()
             ),
             hint: "one wire name per variant, no sharing".into(),
         });
     }
-    let Some((fn_kw, popen, pclose)) = scan::fn_span(parser_file.tokens(), &cfg.parse_fn) else {
-        findings.push(Finding {
-            file: parser_file.rel.clone(),
-            line: 1,
-            col: 1,
-            rule: RuleId::E1,
-            message: format!("JSONL parser `fn {}` not found", cfg.parse_fn),
-            hint: "the wire format must stay strictly re-parseable".into(),
-        });
+    let Some((fn_kw, popen, pclose)) = scan::fn_span(parser_file.tokens(), parse_fn) else {
+        findings.push(missing_fn(parser_file, "JSONL parser", parse_fn));
         return;
     };
     let parsed: BTreeSet<&str> = parser_file.tokens()[popen..=pclose]
@@ -216,19 +179,30 @@ fn check_parser(
                 line: at.line,
                 col: at.col,
                 rule: RuleId::E1,
-                message: format!(
-                    "JSONL parser `fn {}` does not handle wire name {name:?}",
-                    cfg.parse_fn
-                ),
+                message: format!("JSONL parser `fn {parse_fn}` does not handle wire name {name:?}"),
                 hint: "add the match arm so parse→serialize stays byte-identical".into(),
             });
         }
     }
 }
 
+/// A surface or parser fn is missing. One wording for every caller, so a
+/// wire-name map that is both a surface and the parser's name source is
+/// reported once (findings are deduplicated).
+fn missing_fn(file: &SourceFile, label: &str, fn_name: &str) -> Finding {
+    Finding {
+        file: file.rel.clone(),
+        line: 1,
+        col: 1,
+        rule: RuleId::E1,
+        message: format!("{label} `fn {fn_name}` not found"),
+        hint: format!("the schema requires `{fn_name}` to exist and stay exhaustive"),
+    }
+}
+
 fn config_error(cfg: &E1Config, message: String) -> Finding {
     Finding {
-        file: cfg.enum_file.clone(),
+        file: cfg.enum_file.to_string(),
         line: 1,
         col: 1,
         rule: RuleId::E1,

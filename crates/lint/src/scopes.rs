@@ -38,8 +38,11 @@ pub const REPLAY_CRITICAL: &[&str] = &[
 
 /// D2: files that emit serialized or ordered artifacts — the WAL, the
 /// JSONL event log, the Prometheus exposition, the folded profile, the
-/// Chrome trace export, and the dataset CSVs.
+/// Chrome trace export, the dataset CSVs, and the paper's tables and
+/// figures (the analysis and the statistics beneath it).
 pub const ORDERED_OUTPUT: &[&str] = &[
+    "crates/analysis/src/",
+    "crates/stats/src/",
     "crates/core/src/journal.rs",
     "crates/core/src/telemetry/",
     "crates/core/src/monitor/",

@@ -12,6 +12,7 @@ use crate::special::std_normal_cdf;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Sparse spatial weights: row `i` holds `(j, w_ij)` pairs.
 pub type WeightRows = [Vec<(usize, f64)>];
@@ -70,9 +71,10 @@ pub fn morans_i(values: &[f64], weights: &WeightRows) -> Option<MoranResult> {
     let mut w_dense_sym_sq = 0.0; // Σ (w_ij + w_ji)^2 over ordered pairs, computed sparsely
     let mut row_sums = vec![0.0; n];
     let mut col_sums = vec![0.0; n];
-    // For S1 we need w_ji for each (i, j); gather a lookup per row.
-    use std::collections::HashMap;
-    let mut maps: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
+    // For S1 we need w_ji for each (i, j); gather a lookup per row. The
+    // rows are ordered maps so the S1 sum adds its terms in one fixed
+    // order and its bits do not depend on hash order.
+    let mut maps: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
     for (i, row) in weights.iter().enumerate() {
         for &(j, w) in row {
             *maps[i].entry(j).or_insert(0.0) += w;

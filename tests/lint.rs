@@ -84,6 +84,25 @@ fn d3_allows_totals_suppressions_and_tests() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+/// The D2 canary for analysis code: the old `tier_flattening` shape (a
+/// `HashMap` accumulation, then a sort on a factor that ties) sits at a
+/// path inside the real `ORDERED_OUTPUT` list, so the workspace policy
+/// itself must flag it.
+#[test]
+fn d2_workspace_scopes_flag_the_old_tier_flattening_shape() {
+    use divide_lint::scopes;
+    let findings = run(|c| c.d2_scopes = scopes::owned(scopes::ORDERED_OUTPUT));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, RuleId::D2);
+    assert_eq!(f.file, "crates/analysis/src/flattening.rs");
+    assert!(
+        f.message
+            .contains("iteration (`into_iter`) over unordered map `by_price`"),
+        "{f:?}"
+    );
+}
+
 // ---- shard merge hazards (D1 + D2 on the same code shape) -----------
 
 /// The known-bad shard merge trips both rules: wall-clock stamps (D1)
@@ -216,17 +235,17 @@ fn real_drift_modules_are_clean_under_all_rules() {
 // ---- trace span-tree schema (E1 on SpanKind) ------------------------
 
 /// The real `SpanKind` E1 surface names, pointed at a fixture file.
-fn trace_e1_config(file: &str) -> divide_lint::E1Config {
+fn trace_e1_config(file: &'static str) -> divide_lint::E1Config {
     divide_lint::E1Config {
-        enum_file: file.into(),
-        enum_name: "SpanKind".into(),
-        name_fn: "wire_name".into(),
-        stable_fn: "bucket".into(),
-        serializer_file: file.into(),
-        serialize_fn: "span_json".into(),
-        parse_fn: "parse_span_kind".into(),
-        aggregator_file: file.into(),
-        aggregate_fn: "charge".into(),
+        enum_file: file,
+        enum_name: "SpanKind",
+        surfaces: vec![
+            ("wire-name map", file, "wire_name"),
+            ("replay-stable filter", file, "bucket"),
+            ("JSONL serializer", file, "span_json"),
+            ("metrics aggregator", file, "charge"),
+        ],
+        parser: Some(("wire_name", file, "parse_span_kind")),
     }
 }
 
@@ -455,17 +474,17 @@ fn emitters_render_fixture_findings() {
 
 // ---- E1: telemetry exhaustiveness -----------------------------------
 
-fn e1_config(file: &str) -> divide_lint::E1Config {
+fn e1_config(file: &'static str) -> divide_lint::E1Config {
     divide_lint::E1Config {
-        enum_file: file.into(),
-        enum_name: "Kind".into(),
-        name_fn: "name".into(),
-        stable_fn: "replay_stable".into(),
-        serializer_file: file.into(),
-        serialize_fn: "to_line".into(),
-        parse_fn: "parse_line".into(),
-        aggregator_file: file.into(),
-        aggregate_fn: "observe".into(),
+        enum_file: file,
+        enum_name: "Kind",
+        surfaces: vec![
+            ("wire-name map", file, "name"),
+            ("replay-stable filter", file, "replay_stable"),
+            ("JSONL serializer", file, "to_line"),
+            ("metrics aggregator", file, "observe"),
+        ],
+        parser: Some(("name", file, "parse_line")),
     }
 }
 

@@ -4,8 +4,9 @@
 //! events; these scenarios drive full campaigns and assert the integration
 //! contract: every attached recorder sees the identical stream, a
 //! panicking recorder is detached without disturbing the campaign or its
-//! peers, and the aggregated summary in the report agrees with what an
-//! independent recorder observed.
+//! peers, the aggregated summary in the report agrees with what an
+//! independent recorder observed, and a faulted campaign's full and
+//! stable JSONL logs match golden digests byte for byte.
 
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::jsonl::parse_line;
