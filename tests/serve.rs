@@ -145,3 +145,73 @@ fn request_and_response_round_trip_the_wire() {
             if matches!(answers[0], ServeAnswer::Plans { .. } | ServeAnswer::NoService)
     ));
 }
+
+/// FNV-1a over a rendered artifact (the same hash CI's digests use).
+fn fnv(bytes: &[u8]) -> u64 {
+    decoding_divide::net::fnv1a(bytes)
+}
+
+/// A campaign small enough for a debug build whose scan phase still
+/// fires the p99 alert and whose closing steady phase resolves it, so
+/// `AlertFired` carries exemplar ids.
+fn breach_campaign(seed: u64) -> ServeOptions {
+    let mut opts = ServeOptions::quick(seed);
+    opts.policy.bucket = decoding_divide::net::SimDuration::from_secs(2);
+    opts.phases = vec![
+        LoadPhase::steady(8_000, 20),
+        LoadPhase::scan(8_000, 3),
+        LoadPhase::steady(40_000, 20),
+    ];
+    opts
+}
+
+/// The serve campaign's full JSONL stream, its Prometheus exposition
+/// (with `# EXEMPLAR` lines) and its exemplar traces are pinned to
+/// digests, at 1 thread and at 2 (where three shards pack unevenly):
+/// any change to the wire, the envelopes, the monitor or the trace
+/// assembler must leave every byte of them alone.
+#[test]
+fn serve_breach_artifacts_match_the_golden_digests() {
+    use decoding_divide::bqt::{render_prometheus, render_trace_json, CampaignSection};
+    let store = store(909);
+    for threads in [1, 2] {
+        let mut rec = JsonlRecorder::new(Vec::new());
+        let opts = breach_campaign(4242).threads(threads);
+        let outcome = run_recorded(&store, &opts, &mut rec);
+        let jsonl = rec.into_inner();
+
+        let p99 = outcome
+            .health
+            .alerts
+            .iter()
+            .find(|a| a.rule == "p99_latency")
+            .expect("the scan phase fires the p99 alert");
+        assert!(
+            p99.resolved_at.is_some(),
+            "the closing steady phase resolves it"
+        );
+        assert!(!p99.exemplars.is_empty(), "AlertFired names its exemplars");
+
+        let section = CampaignSection {
+            label: "serve",
+            telemetry: &outcome.summary,
+            health: &outcome.health,
+        };
+        let prom = render_prometheus(std::slice::from_ref(&section));
+        assert!(
+            prom.contains("# EXEMPLAR"),
+            "exposition carries exemplar lines"
+        );
+        let traces = render_trace_json(std::slice::from_ref(&section));
+
+        assert_eq!(
+            (fnv(&jsonl), fnv(prom.as_bytes()), fnv(traces.as_bytes())),
+            (
+                11939796789625578930,
+                7379589254981271716,
+                8972393525261408914
+            ),
+            "threads {threads}: (jsonl, health.prom, trace.json) digests moved"
+        );
+    }
+}
