@@ -60,8 +60,13 @@ impl AddressIndex {
     /// does not store: tries the full line, then the line with the unit
     /// stripped.
     pub fn lookup_allowing_unit(&self, line: &str) -> Option<AddressId> {
-        let norm = normalize_line(line);
-        if let Some(&id) = self.exact.get(&norm) {
+        self.lookup_normalized_allowing_unit(&normalize_line(line))
+    }
+
+    /// [`Self::lookup_allowing_unit`] for a line the caller has already
+    /// put through `normalize_line`.
+    pub fn lookup_normalized_allowing_unit(&self, norm: &str) -> Option<AddressId> {
+        if let Some(&id) = self.exact.get(norm) {
             return Some(id);
         }
         // Strip the "apt <x>" tokens, keeping the tail (city/state/zip).

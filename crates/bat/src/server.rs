@@ -149,12 +149,13 @@ impl BatServer {
 
     fn body_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
         body.lines()
-            .find_map(|l| l.strip_prefix(&format!("{key}=")[..]))
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
     }
 
     /// Advances the workflow for a resolved address: interstitial, MDU, or
-    /// the final plans / no-service page.
-    fn page_for(&self, id: AddressId, input_line: &str, session: &mut Session) -> String {
+    /// the final plans / no-service page. `input_has_unit` says whether the
+    /// normalized input line carried an `apt` designator.
+    fn page_for(&self, id: AddressId, input_has_unit: bool, session: &mut Session) -> String {
         let record = self.world.addresses().record(id);
 
         // Existing-customer interstitial (once per session).
@@ -166,7 +167,6 @@ impl BatServer {
 
         // Multi-dwelling unit: the building needs a unit choice when the
         // input did not carry one.
-        let input_has_unit = normalize_line(input_line).contains(" apt ");
         if record.is_mdu && !input_has_unit {
             session.resolved = Some(id);
             let units: Vec<String> = record
@@ -193,7 +193,13 @@ impl BatServer {
     /// Resolves an input line to a page, covering the hard-failure, unknown
     /// address and not-found branches.
     fn resolve_line(&mut self, line: &str, session: &mut Session) -> String {
-        match self.world.addresses().index().lookup_allowing_unit(line) {
+        let norm = normalize_line(line);
+        match self
+            .world
+            .addresses()
+            .index()
+            .lookup_normalized_allowing_unit(&norm)
+        {
             Some(id) => {
                 if addr_draw(self.isp, id, 0xBAD) < self.profile.hard_failure_rate {
                     return templates::render_technical_difficulty_v(
@@ -211,7 +217,7 @@ impl BatServer {
                         self.template_version,
                     );
                 }
-                self.page_for(id, line, session)
+                self.page_for(id, norm.contains(" apt "), session)
             }
             None => {
                 let suggestions = self.suggestions_for(line, None);
@@ -310,7 +316,8 @@ impl Service for BatServer {
                         Some(id) => {
                             session.interstitial_done = true;
                             let line = self.world.addresses().record(id).canonical.canonical_line();
-                            self.page_for(id, &line, &mut session)
+                            let has_unit = normalize_line(&line).contains(" apt ");
+                            self.page_for(id, has_unit, &mut session)
                         }
                         None => {
                             return Exchange {

@@ -227,10 +227,20 @@ impl CampaignMonitor {
             _ => {}
         }
         self.seq += 1;
-        self.heap
-            .push(event.at.as_millis(), self.seq, event.kind.clone());
-        if advances_watermark(&event.kind) {
-            self.heap.advance(event.at.as_millis());
+        let at_ms = event.at.as_millis();
+        let advances = advances_watermark(&event.kind);
+        if advances && self.heap.is_empty() {
+            // Identity: pushing this event onto the empty heap, advancing
+            // the watermark to its stamp and draining would pop exactly
+            // this one event, ready, and leave the heap empty again. So
+            // process it straight from the caller's borrow, uncloned.
+            self.heap.advance(at_ms);
+            self.process(at_ms, &event.kind);
+            return;
+        }
+        self.heap.push(at_ms, self.seq, event.kind.clone());
+        if advances {
+            self.heap.advance(at_ms);
             self.drain();
         }
     }

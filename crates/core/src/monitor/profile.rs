@@ -12,8 +12,9 @@
 //! per-page `step_N` frames plus driver `overhead`, using the *ephemeral*
 //! page-fetch spans — richer, but only meaningful for uninterrupted runs.
 
-use crate::telemetry::EventKind;
+use crate::telemetry::{with_entry, EventKind};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// Builds the folded-stack attribution incrementally from the stream.
 #[derive(Debug)]
@@ -24,6 +25,8 @@ pub struct PhaseProfiler {
     /// Virtual ms per stack (frames `;`-joined, no root label).
     frames: BTreeMap<String, u64>,
     busy_ms: BTreeMap<u32, u64>,
+    /// The stack being charged, rebuilt in place for every span.
+    stack: String,
 }
 
 impl PhaseProfiler {
@@ -33,6 +36,7 @@ impl PhaseProfiler {
             fetches: HashMap::new(),
             frames: BTreeMap::new(),
             busy_ms: BTreeMap::new(),
+            stack: String::new(),
         }
     }
 
@@ -59,7 +63,11 @@ impl PhaseProfiler {
                 ..
             } => {
                 *self.busy_ms.entry(*worker).or_default() += duration_ms;
-                let stack = format!(
+                let stack = &mut self.stack;
+                stack.clear();
+                // Writing to a `String` cannot fail.
+                let _ = write!(
+                    stack,
                     "worker_{worker:04};{endpoint};attempt_{attempt};{}",
                     outcome.as_str()
                 );
@@ -68,19 +76,24 @@ impl PhaseProfiler {
                     // so their sum is bounded by the attempt duration; the
                     // remainder is driver work between pages.
                     let spans = self.fetches.remove(&(*tag, *attempt)).unwrap_or_default();
+                    let attempt_len = stack.len();
                     let mut rest = *duration_ms;
                     for (i, ms) in spans.iter().enumerate() {
                         let charged = (*ms).min(rest);
                         rest -= charged;
                         if charged > 0 {
-                            *self.frames.entry(format!("{stack};step_{i}")).or_default() += charged;
+                            stack.truncate(attempt_len);
+                            let _ = write!(stack, ";step_{i}");
+                            with_entry(&mut self.frames, stack, |f| *f += charged);
                         }
                     }
                     if rest > 0 {
-                        *self.frames.entry(format!("{stack};overhead")).or_default() += rest;
+                        stack.truncate(attempt_len);
+                        stack.push_str(";overhead");
+                        with_entry(&mut self.frames, stack, |f| *f += rest);
                     }
                 } else {
-                    *self.frames.entry(stack).or_default() += duration_ms;
+                    with_entry(&mut self.frames, stack, |f| *f += duration_ms);
                 }
             }
             EventKind::ServeLookupEnd {
@@ -94,7 +107,10 @@ impl PhaseProfiler {
                 // The serve engine runs one virtual worker per shard, so
                 // shard id doubles as the worker frame.
                 *self.busy_ms.entry(*shard).or_default() += duration_ms;
-                let stack = format!(
+                let stack = &mut self.stack;
+                stack.clear();
+                let _ = write!(
+                    stack,
                     "worker_{shard:04};{endpoint};lookup;{};{}",
                     if *cache_hit {
                         "cache_hit"
@@ -103,7 +119,7 @@ impl PhaseProfiler {
                     },
                     outcome.as_str()
                 );
-                *self.frames.entry(stack).or_default() += duration_ms;
+                with_entry(&mut self.frames, stack, |f| *f += duration_ms);
             }
             _ => {}
         }

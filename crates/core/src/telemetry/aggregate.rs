@@ -13,6 +13,19 @@
 use super::{Event, EventKind, Recorder};
 use std::collections::BTreeMap;
 
+/// Runs `f` on `map`'s value for `key`, looked up by `&str`: the key is
+/// allocated only when it is first inserted (with a default value).
+pub(crate) fn with_entry<V: Default, R>(
+    map: &mut BTreeMap<String, V>,
+    key: &str,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
 /// A log2-bucketed histogram of millisecond values.
 ///
 /// Bucket `0` holds exact zeros; bucket `i > 0` holds values in
@@ -275,13 +288,14 @@ impl MetricsAggregator {
                 s.attempts += 1;
                 s.attempt_latency.record(*duration_ms);
                 s.pages_per_session.record(*steps as u64);
-                let e = s.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                if outcome.is_hit() {
-                    e.hits += 1;
-                }
-                e.latency.record(*duration_ms);
-                e.pages.record(*steps as u64);
+                with_entry(&mut s.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    if outcome.is_hit() {
+                        e.hits += 1;
+                    }
+                    e.latency.record(*duration_ms);
+                    e.pages.record(*steps as u64);
+                });
                 let w = s.per_worker.entry(*worker).or_default();
                 w.attempts += 1;
                 w.busy_ms += duration_ms;
@@ -297,10 +311,7 @@ impl MetricsAggregator {
             EventKind::StallReclaimed { .. } => s.stalls_reclaimed += 1,
             EventKind::DriftSuspected { endpoint, .. } => {
                 s.drift_suspected += 1;
-                s.per_endpoint
-                    .entry(endpoint.clone())
-                    .or_default()
-                    .drift_suspected += 1;
+                with_entry(&mut s.per_endpoint, endpoint, |e| e.drift_suspected += 1);
             }
             EventKind::RebootstrapStarted { .. } => s.rebootstraps_started += 1,
             EventKind::TemplateSwapped { .. } => s.templates_swapped += 1,
@@ -317,12 +328,13 @@ impl MetricsAggregator {
                     s.serve_cache_hits += 1;
                 }
                 s.lookup_latency.record(*duration_ms);
-                let e = s.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                if outcome.is_hit() {
-                    e.hits += 1;
-                }
-                e.latency.record(*duration_ms);
+                with_entry(&mut s.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    if outcome.is_hit() {
+                        e.hits += 1;
+                    }
+                    e.latency.record(*duration_ms);
+                });
             }
             EventKind::CacheEvicted { .. } => s.cache_evictions += 1,
             EventKind::ServeShed { .. } => s.serve_sheds += 1,

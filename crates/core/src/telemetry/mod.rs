@@ -53,6 +53,7 @@ mod aggregate;
 pub mod jsonl;
 mod ring;
 
+pub(crate) use aggregate::with_entry;
 pub use aggregate::{
     EndpointStats, Histogram, MetricsAggregator, ResumeStats, TelemetrySummary, WorkerStats,
 };

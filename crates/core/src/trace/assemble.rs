@@ -199,7 +199,14 @@ impl TraceAssembler {
                 }
             }
             EventKind::JobEnd { tag, outcome, .. } => {
-                if let Some(mut job) = self.jobs.remove(tag) {
+                let Some(mut job) = self.jobs.remove(tag) else {
+                    return;
+                };
+                let duration_ms = at_ms.saturating_sub(job.started_ms);
+                if self
+                    .reservoir
+                    .admits(&job.endpoint, duration_ms, at_ms, self.seq)
+                {
                     close_gap(&mut job, at_ms, &self.quarantines, &self.sheds);
                     let endpoint = job.endpoint;
                     let root = Span {
@@ -280,6 +287,14 @@ impl TraceAssembler {
                     };
                     wait
                 };
+                // The cursor above tracks every lookup; the trace itself
+                // is built only when the reservoir would keep it.
+                if !self
+                    .reservoir
+                    .admits(endpoint, at_ms - arrival, at_ms, self.seq)
+                {
+                    return;
+                }
                 let mut root = Span {
                     kind: SpanKind::Serve,
                     label: format!("{endpoint}:{}", outcome.as_str()),

@@ -17,12 +17,19 @@ struct Entry {
     seq: u64,
 }
 
+/// A trace's ranking key: `(duration_ms, end_ms, seq)`.
+type Rank = (u64, u64, u64);
+
 impl Entry {
-    /// Strict-weak order: does `self` outrank `other`?
-    fn outranks(&self, other: &Entry) -> bool {
-        let (a, b) = (self.trace.duration_ms(), other.trace.duration_ms());
-        a > b || (a == b && (self.end_ms, self.seq) < (other.end_ms, other.seq))
+    fn rank(&self) -> Rank {
+        (self.trace.duration_ms(), self.end_ms, self.seq)
     }
+}
+
+/// Strict-weak order: does a trace ranked `a` outrank one ranked `b`?
+/// Longer first; ties go to the earlier `(end_ms, seq)`.
+fn outranks(a: Rank, b: Rank) -> bool {
+    a.0 > b.0 || (a.0 == b.0 && (a.1, a.2) < (b.1, b.2))
 }
 
 /// Keeps the `k` globally slowest traces plus the single slowest trace
@@ -44,26 +51,44 @@ impl ExemplarReservoir {
         }
     }
 
+    /// Whether [`offer`](Self::offer) would keep a trace of this
+    /// endpoint, duration and completing coordinates — as the slowest of
+    /// its endpoint or among the global top `k`. Callers build a trace
+    /// only when this says yes; offering only admitted traces leaves the
+    /// reservoir exactly as offering every trace would.
+    pub fn admits(&self, endpoint: &str, duration_ms: u64, end_ms: u64, seq: u64) -> bool {
+        let rank = (duration_ms, end_ms, seq);
+        let endpoint_keeps = self
+            .per_endpoint
+            .get(endpoint)
+            .is_none_or(|held| !outranks(held.rank(), rank));
+        endpoint_keeps || self.global_position(rank).is_some()
+    }
+
+    /// Where a trace ranked `rank` would enter the global top `k`, if
+    /// anywhere.
+    fn global_position(&self, rank: Rank) -> Option<usize> {
+        let pos = self
+            .global
+            .iter()
+            .position(|held| outranks(rank, held.rank()))
+            .unwrap_or(self.global.len());
+        (pos < self.k).then_some(pos)
+    }
+
     /// Offers a completed trace. `end_ms` and `seq` are the completing
     /// event's merged-stream coordinates — the deterministic tie-break.
     pub fn offer(&mut self, trace: Trace, end_ms: u64, seq: u64) {
         let entry = Entry { trace, end_ms, seq };
+        let rank = entry.rank();
         match self.per_endpoint.get(&entry.trace.endpoint) {
-            Some(held) if held.outranks(&entry) => {}
+            Some(held) if outranks(held.rank(), rank) => {}
             _ => {
                 self.per_endpoint
                     .insert(entry.trace.endpoint.clone(), entry.clone());
             }
         }
-        if self.k == 0 {
-            return;
-        }
-        let pos = self
-            .global
-            .iter()
-            .position(|held| entry.outranks(held))
-            .unwrap_or(self.global.len());
-        if pos < self.k {
+        if let Some(pos) = self.global_position(rank) {
             self.global.insert(pos, entry);
             self.global.truncate(self.k);
         }

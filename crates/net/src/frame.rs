@@ -51,24 +51,32 @@ impl FrameCodec {
         dst.put_slice(payload);
     }
 
+    /// Reads the frame at the front of `src` without consuming anything.
+    ///
+    /// Returns `Ok(Some(payload))` borrowing the payload when a complete
+    /// frame is buffered, `Ok(None)` when more bytes are needed, or `Err`
+    /// when the peer declared an oversized frame. This is the one framing
+    /// reader; [`FrameCodec::decode`] is built on it.
+    pub fn read_frame<'a>(&self, src: &'a [u8]) -> Result<Option<&'a [u8]>, FrameError> {
+        let Some(&[a, b, c, d]) = src.get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(FrameError::Oversized(len));
+        }
+        Ok(src.get(4..4 + len))
+    }
+
     /// Tries to extract one complete frame from `src`.
     ///
     /// Returns `Ok(Some(payload))` and consumes the frame when one is fully
     /// buffered, `Ok(None)` when more bytes are needed (nothing consumed),
     /// or `Err` when the peer declared an oversized frame.
     pub fn decode(&self, src: &mut BytesMut) -> Result<Option<Bytes>, FrameError> {
-        if src.len() < 4 {
+        let Some(len) = self.read_frame(src)?.map(<[u8]>::len) else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([src[0], src[1], src[2], src[3]]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(FrameError::Oversized(len));
-        }
-        if src.len() < 4 + len {
-            // Incomplete: reserve so the caller's next read can complete it.
-            src.reserve(4 + len - src.len());
-            return Ok(None);
-        }
+        };
         src.advance(4);
         Ok(Some(src.split_to(len).freeze()))
     }

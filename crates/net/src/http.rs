@@ -18,12 +18,19 @@ pub enum Method {
     Post,
 }
 
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Method {
+    /// The wire token.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Method::Get => "GET",
             Method::Post => "POST",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Method {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -91,28 +98,56 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn parse_headers<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<(BTreeMap<String, String>, String), WireError> {
+/// Splits what follows the start line into headers and body: headers
+/// run up to the first blank line (or the end), and the body is the rest
+/// with its leading `\n`s dropped, copied once.
+fn parse_headers(rest: &str) -> Result<(BTreeMap<String, String>, String), WireError> {
     let mut headers = BTreeMap::new();
-    let mut body = String::new();
-    let mut in_body = false;
-    for line in lines {
-        if in_body {
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            body.push_str(line);
-        } else if line.is_empty() {
-            in_body = true;
-        } else {
-            let (k, v) = line
-                .split_once(':')
-                .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+    let mut next = Some(rest);
+    while let Some(chunk) = next {
+        let (line, tail) = match chunk.split_once('\n') {
+            Some((line, tail)) => (line, Some(tail)),
+            None => (chunk, None),
+        };
+        if line.is_empty() {
+            let body = tail.unwrap_or_default().trim_start_matches('\n');
+            return Ok((headers, body.to_string()));
         }
+        let (k, v) = line
+            .split_once(':')
+            .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
+        headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        next = tail;
     }
-    Ok((headers, body))
+    Ok((headers, String::new()))
+}
+
+/// Splits a message into its start line and everything after it.
+fn split_start(wire: &str) -> (&str, &str) {
+    wire.split_once('\n').unwrap_or((wire, ""))
+}
+
+/// Appends `headers`, the blank separator line and `body` to `out`.
+fn write_headers_and_body(headers: &BTreeMap<String, String>, body: &str, out: &mut String) {
+    for (k, v) in headers {
+        out.push_str(k);
+        out.push_str(": ");
+        out.push_str(v);
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(body);
+}
+
+/// Looks up a header by key, lower-casing the key only when it has
+/// upper-case letters.
+fn lookup<'a>(headers: &'a BTreeMap<String, String>, key: &str) -> Option<&'a str> {
+    let value = if key.bytes().any(|b| b.is_ascii_uppercase()) {
+        headers.get(&key.to_ascii_lowercase())
+    } else {
+        headers.get(key)
+    };
+    value.map(String::as_str)
 }
 
 /// An HTTP-lite request.
@@ -151,9 +186,7 @@ impl Request {
     }
 
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        lookup(&self.headers, key)
     }
 
     /// The session cookie, if any.
@@ -167,19 +200,23 @@ impl Request {
 
     /// Serializes to the text wire format.
     pub fn to_wire(&self) -> String {
-        let mut s = format!("{} {} BQT/1\n", self.method, self.path);
-        for (k, v) in &self.headers {
-            s.push_str(&format!("{k}: {v}\n"));
-        }
-        s.push('\n');
-        s.push_str(&self.body);
+        let mut s = String::new();
+        self.write_wire(&mut s);
         s
+    }
+
+    /// Appends the text wire format to `out`.
+    pub fn write_wire(&self, out: &mut String) {
+        out.push_str(self.method.as_str());
+        out.push(' ');
+        out.push_str(&self.path);
+        out.push_str(" BQT/1\n");
+        write_headers_and_body(&self.headers, &self.body, out);
     }
 
     /// Parses the text wire format.
     pub fn from_wire(wire: &str) -> Result<Self, WireError> {
-        let mut lines = wire.split('\n');
-        let start = lines.next().ok_or(WireError::MissingStartLine)?;
+        let (start, rest) = split_start(wire);
         let mut parts = start.split_whitespace();
         let method = match parts.next() {
             Some("GET") => Method::Get,
@@ -191,7 +228,7 @@ impl Request {
             .next()
             .ok_or_else(|| WireError::BadStartLine(start.to_string()))?
             .to_string();
-        let (headers, body) = parse_headers(lines)?;
+        let (headers, body) = parse_headers(rest)?;
         Ok(Request {
             method,
             path,
@@ -230,9 +267,7 @@ impl Response {
     }
 
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        lookup(&self.headers, key)
     }
 
     /// The `Set-Cookie` value, if the server issued one.
@@ -245,18 +280,25 @@ impl Response {
     }
 
     pub fn to_wire(&self) -> String {
-        let mut s = format!("BQT/1 {}\n", self.status.code());
-        for (k, v) in &self.headers {
-            s.push_str(&format!("{k}: {v}\n"));
-        }
-        s.push('\n');
-        s.push_str(&self.body);
+        let mut s = String::new();
+        self.write_wire(&mut s);
         s
     }
 
+    /// Appends the text wire format to `out`.
+    pub fn write_wire(&self, out: &mut String) {
+        out.push_str("BQT/1 ");
+        // Status codes are three digits.
+        let code = self.status.code();
+        for digit in [code / 100, code / 10 % 10, code % 10] {
+            out.push(char::from(b'0' + digit as u8));
+        }
+        out.push('\n');
+        write_headers_and_body(&self.headers, &self.body, out);
+    }
+
     pub fn from_wire(wire: &str) -> Result<Self, WireError> {
-        let mut lines = wire.split('\n');
-        let start = lines.next().ok_or(WireError::MissingStartLine)?;
+        let (start, rest) = split_start(wire);
         let mut parts = start.split_whitespace();
         match parts.next() {
             Some("BQT/1") => {}
@@ -270,7 +312,7 @@ impl Response {
             .map_err(|_| WireError::UnknownStatus(code_str.to_string()))?;
         let status = Status::from_code(code)
             .ok_or_else(|| WireError::UnknownStatus(code_str.to_string()))?;
-        let (headers, body) = parse_headers(lines)?;
+        let (headers, body) = parse_headers(rest)?;
         Ok(Response {
             status,
             headers,

@@ -7,12 +7,15 @@
 //! latency on the virtual clock. Every message really is serialized through
 //! the framing codec and wire format — the server parses what the client
 //! sent, not a shared in-memory object — so protocol bugs surface here, not
-//! in production figures.
+//! in production figures. That still happens on every hop: each leg is
+//! written into the transport's reused text buffer, framed into its reused
+//! frame buffer, read back through [`FrameCodec::read_frame`], UTF-8-checked
+//! and parsed, so a round trip allocates only the parsed messages.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::frame::FrameCodec;
-use crate::http::{Request, Response, Status};
+use crate::http::{Request, Response, Status, WireError};
 use crate::ip::SimIp;
 use crate::latency::LatencyModel;
 use crate::mix::{fnv1a, mix64};
@@ -109,6 +112,37 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// The buffers every leg of every round trip is carried through, reused
+/// across calls: a message's text form and its length-prefixed frame.
+#[derive(Default)]
+struct WireBuffers {
+    text: String,
+    frame: BytesMut,
+}
+
+impl WireBuffers {
+    /// Serializes a message with `write`, frames it, reads the frame back,
+    /// checks it is UTF-8 and parses it with `parse`. Any step that fails
+    /// is a garbled message.
+    fn carry<T>(
+        &mut self,
+        write: impl FnOnce(&mut String),
+        parse: impl FnOnce(&str) -> Result<T, WireError>,
+    ) -> Result<T, TransportError> {
+        self.text.clear();
+        write(&mut self.text);
+        self.frame.clear();
+        FrameCodec.encode(self.text.as_bytes(), &mut self.frame);
+        let payload = FrameCodec
+            .read_frame(&self.frame)
+            .map_err(|e| TransportError::Garbled(e.to_string()))?
+            .ok_or_else(|| TransportError::Garbled("incomplete frame".to_string()))?;
+        let text =
+            std::str::from_utf8(payload).map_err(|e| TransportError::Garbled(e.to_string()))?;
+        parse(text).map_err(|e| TransportError::Garbled(e.to_string()))
+    }
+}
+
 /// The simulated network: endpoints plus a seeded randomness stream.
 pub struct Transport {
     endpoints: HashMap<String, Endpoint>,
@@ -117,7 +151,7 @@ pub struct Transport {
     /// Derive each round trip's randomness from `(seed, endpoint, src,
     /// now)` instead of the shared sequential stream. See [`Self::hermetic`].
     hermetic: bool,
-    codec: FrameCodec,
+    wire: WireBuffers,
     faults: Option<FaultPlan>,
     requests: u64,
 }
@@ -129,7 +163,7 @@ impl Transport {
             seed,
             rng: StdRng::seed_from_u64(seed),
             hermetic: false,
-            codec: FrameCodec,
+            wire: WireBuffers::default(),
             faults: None,
             requests: 0,
         }
@@ -246,20 +280,11 @@ impl Transport {
             }
         }
 
-        // Request leg: encode, frame, decode, parse — the server sees only
-        // what survived the wire.
-        let mut buf = BytesMut::new();
-        self.codec.encode(req.to_wire().as_bytes(), &mut buf);
-        let frame = self
-            .codec
-            .decode(&mut buf)
-            .map_err(|e| TransportError::Garbled(e.to_string()))?
-            // lint:allow(T2): a frame we just encoded always decodes complete
-            .expect("frame just encoded is complete");
-        let wire =
-            std::str::from_utf8(&frame).map_err(|e| TransportError::Garbled(e.to_string()))?;
-        let parsed_req =
-            Request::from_wire(wire).map_err(|e| TransportError::Garbled(e.to_string()))?;
+        // Request leg: serialize, frame, read the frame back, parse — the
+        // server sees only what survived the wire.
+        let parsed_req = self
+            .wire
+            .carry(|out| req.write_wire(out), Request::from_wire)?;
 
         let leg_out = ep.network.sample(rng);
         let arrival = now + leg_out;
@@ -268,19 +293,10 @@ impl Transport {
             processing,
         } = ep.service.handle(src, &parsed_req, arrival, rng);
 
-        // Response leg through the same codec path.
-        let mut rbuf = BytesMut::new();
-        self.codec.encode(response.to_wire().as_bytes(), &mut rbuf);
-        let rframe = self
-            .codec
-            .decode(&mut rbuf)
-            .map_err(|e| TransportError::Garbled(e.to_string()))?
-            // lint:allow(T2): a frame we just encoded always decodes complete
-            .expect("frame just encoded is complete");
-        let rwire =
-            std::str::from_utf8(&rframe).map_err(|e| TransportError::Garbled(e.to_string()))?;
-        let parsed_resp =
-            Response::from_wire(rwire).map_err(|e| TransportError::Garbled(e.to_string()))?;
+        // Response leg through the same buffers and codec path.
+        let parsed_resp = self
+            .wire
+            .carry(|out| response.write_wire(out), Response::from_wire)?;
 
         let leg_back = ep.network.sample(rng);
         let mut elapsed = leg_out + processing + leg_back;

@@ -15,7 +15,7 @@
 use bbsim_isp::Isp;
 use bbsim_net::{Method, Request, Response};
 use bqt::ScrapedPlan;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One typed lookup against the plan store.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,10 +101,20 @@ fn wire_err(msg: impl Into<String>) -> WireError {
 
 /// Extracts `"key":<value>` from a JSON-lite line; values are either
 /// quoted strings (no escapes) or bare tokens terminated by `,` / `}`.
+/// The first `"key":` in the line wins.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
+    let mut from = 0;
+    let rest = loop {
+        let at = from + line.get(from..)?.find(key)?;
+        let after = &line[at + key.len()..];
+        if line[..at].ends_with('"') {
+            if let Some(rest) = after.strip_prefix("\":") {
+                break rest;
+            }
+        }
+        // `key` is ASCII, so one byte past its start is a char boundary.
+        from = at + 1;
+    };
     if let Some(stripped) = rest.strip_prefix('"') {
         let end = stripped.find('"')?;
         Some(&stripped[..end])
@@ -128,49 +138,52 @@ fn f64_field(line: &str, key: &str) -> Result<f64, WireError> {
         .map_err(|_| wire_err(format!("non-numeric field {key:?}")))
 }
 
-fn str_field(line: &str, key: &str) -> Result<String, WireError> {
-    field(line, key)
-        .map(str::to_string)
-        .ok_or_else(|| wire_err(format!("missing field {key:?}")))
+fn str_field<'a>(line: &'a str, key: &str) -> Result<&'a str, WireError> {
+    field(line, key).ok_or_else(|| wire_err(format!("missing field {key:?}")))
 }
 
 fn isp_field(line: &str) -> Result<Isp, WireError> {
     let slug = str_field(line, "isp")?;
-    Isp::from_slug(&slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
+    Isp::from_slug(slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
 }
 
-/// Serializes one query to its single-line wire form.
-pub fn query_to_line(q: &ServeQuery) -> String {
-    match q {
-        ServeQuery::Plans { city, isp, tag } => format!(
+/// Appends one query's single-line wire form to `line`.
+pub fn query_to_line(q: &ServeQuery, line: &mut String) {
+    // Writing to a `String` cannot fail.
+    let _ = match q {
+        ServeQuery::Plans { city, isp, tag } => write!(
+            line,
             "{{\"q\":\"plans\",\"city\":\"{city}\",\"isp\":\"{}\",\"tag\":{tag}}}",
             isp.slug()
         ),
-        ServeQuery::BlockGroup { city, isp, bg } => format!(
+        ServeQuery::BlockGroup { city, isp, bg } => write!(
+            line,
             "{{\"q\":\"block_group\",\"city\":\"{city}\",\"isp\":\"{}\",\"bg\":{bg}}}",
             isp.slug()
         ),
-        ServeQuery::Tiles { city } => format!("{{\"q\":\"tiles\",\"city\":\"{city}\"}}"),
-    }
+        ServeQuery::Tiles { city } => {
+            write!(line, "{{\"q\":\"tiles\",\"city\":\"{city}\"}}")
+        }
+    };
 }
 
 /// Parses one wire line back to a query; exact inverse of
 /// [`query_to_line`] on every value the serializer emits.
 pub fn parse_query_line(line: &str) -> Result<ServeQuery, WireError> {
     let kind = str_field(line, "q")?;
-    match kind.as_str() {
+    match kind {
         "plans" => Ok(ServeQuery::Plans {
-            city: str_field(line, "city")?,
+            city: str_field(line, "city")?.to_string(),
             isp: isp_field(line)?,
             tag: num_field(line, "tag")?,
         }),
         "block_group" => Ok(ServeQuery::BlockGroup {
-            city: str_field(line, "city")?,
+            city: str_field(line, "city")?.to_string(),
             isp: isp_field(line)?,
             bg: num_field(line, "bg")?,
         }),
         "tiles" => Ok(ServeQuery::Tiles {
-            city: str_field(line, "city")?,
+            city: str_field(line, "city")?.to_string(),
         }),
         other => Err(wire_err(format!("unknown query kind {other:?}"))),
     }
@@ -204,13 +217,19 @@ pub enum ServeAnswer {
     Shed,
 }
 
-/// Packs plans into the dataset's `down/up/price;...` triple format.
-fn pack_plans(plans: &[ScrapedPlan]) -> String {
-    plans
-        .iter()
-        .map(|p| format!("{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd))
-        .collect::<Vec<_>>()
-        .join(";")
+/// Appends plans in the dataset's `down/up/price;...` triple format.
+fn pack_plans(plans: &[ScrapedPlan], line: &mut String) {
+    for (i, p) in plans.iter().enumerate() {
+        if i > 0 {
+            line.push(';');
+        }
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            line,
+            "{}/{}/{}",
+            p.download_mbps, p.upload_mbps, p.price_usd
+        );
+    }
 }
 
 fn unpack_plans(s: &str) -> Result<Vec<ScrapedPlan>, WireError> {
@@ -235,20 +254,26 @@ fn unpack_plans(s: &str) -> Result<Vec<ScrapedPlan>, WireError> {
         .collect()
 }
 
-/// Serializes one answer to its single-line wire form.
-pub fn answer_to_line(a: &ServeAnswer) -> String {
-    match a {
+/// Appends one answer's single-line wire form to `line` (f64 fields in
+/// `Display`'s shortest round-trip form).
+pub fn answer_to_line(a: &ServeAnswer, line: &mut String) {
+    // Writing to a `String` cannot fail.
+    let _ = match a {
         ServeAnswer::Plans { plans } => {
-            format!("{{\"a\":\"plans\",\"plans\":\"{}\"}}", pack_plans(plans))
+            line.push_str("{\"a\":\"plans\",\"plans\":\"");
+            pack_plans(plans, line);
+            line.push_str("\"}");
+            Ok(())
         }
-        ServeAnswer::NoService => "{\"a\":\"no_service\"}".to_string(),
+        ServeAnswer::NoService => line.write_str("{\"a\":\"no_service\"}"),
         ServeAnswer::Percentiles {
             n,
             p25,
             p50,
             p75,
             p95,
-        } => format!(
+        } => write!(
+            line,
             "{{\"a\":\"percentiles\",\"n\":{n},\"p25\":{p25},\"p50\":{p50},\"p75\":{p75},\"p95\":{p95}}}"
         ),
         ServeAnswer::Tiles {
@@ -256,12 +281,13 @@ pub fn answer_to_line(a: &ServeAnswer) -> String {
             served,
             avg_providers,
             diversity,
-        } => format!(
+        } => write!(
+            line,
             "{{\"a\":\"tiles\",\"block_groups\":{block_groups},\"served\":{served},\"avg_providers\":{avg_providers},\"diversity\":{diversity}}}"
         ),
-        ServeAnswer::NotFound => "{\"a\":\"not_found\"}".to_string(),
-        ServeAnswer::Shed => "{\"a\":\"shed\"}".to_string(),
-    }
+        ServeAnswer::NotFound => line.write_str("{\"a\":\"not_found\"}"),
+        ServeAnswer::Shed => line.write_str("{\"a\":\"shed\"}"),
+    };
 }
 
 /// Parses one wire line back to an answer; exact inverse of
@@ -269,9 +295,9 @@ pub fn answer_to_line(a: &ServeAnswer) -> String {
 /// form, so values survive byte-identically).
 pub fn parse_answer_line(line: &str) -> Result<ServeAnswer, WireError> {
     let kind = str_field(line, "a")?;
-    match kind.as_str() {
+    match kind {
         "plans" => Ok(ServeAnswer::Plans {
-            plans: unpack_plans(&str_field(line, "plans")?)?,
+            plans: unpack_plans(str_field(line, "plans")?)?,
         }),
         "no_service" => Ok(ServeAnswer::NoService),
         "percentiles" => Ok(ServeAnswer::Percentiles {
@@ -312,13 +338,18 @@ impl ServeRequest {
     /// Lowers the envelope onto HTTP: `POST /lookup` carries one query
     /// line, `POST /batch` one line per query.
     pub fn to_http(&self) -> Request {
-        match self {
-            ServeRequest::Single(q) => Request::post("/lookup", query_to_line(q)),
-            ServeRequest::Batch(qs) => {
-                let body = qs.iter().map(query_to_line).collect::<Vec<_>>().join("\n");
-                Request::post("/batch", body)
+        let path = match self {
+            ServeRequest::Single(_) => "/lookup",
+            ServeRequest::Batch(_) => "/batch",
+        };
+        let mut body = String::new();
+        for (i, q) in self.queries().iter().enumerate() {
+            if i > 0 {
+                body.push('\n');
             }
+            query_to_line(q, &mut body);
         }
+        Request::post(path, body)
     }
 
     /// Lifts an HTTP request back to the typed envelope.
@@ -359,17 +390,14 @@ impl ServeResponse {
     /// Lowers the envelope onto an HTTP 200 with one answer line per
     /// query.
     pub fn to_http(&self) -> Response {
-        match self {
-            ServeResponse::Single(a) => Response::ok(answer_to_line(a)),
-            ServeResponse::Batch(answers) => {
-                let body = answers
-                    .iter()
-                    .map(answer_to_line)
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                Response::ok(body)
+        let mut body = String::new();
+        for (i, a) in self.answers().iter().enumerate() {
+            if i > 0 {
+                body.push('\n');
             }
+            answer_to_line(a, &mut body);
         }
+        Response::ok(body)
     }
 
     /// Lifts an HTTP response back to the typed envelope; the request's
@@ -441,7 +469,8 @@ mod tests {
     #[test]
     fn query_lines_round_trip() {
         for q in queries() {
-            let line = query_to_line(&q);
+            let mut line = String::new();
+            query_to_line(&q, &mut line);
             assert_eq!(parse_query_line(&line).unwrap(), q, "{line}");
             assert!(line.contains(q.wire_name()));
         }
@@ -450,7 +479,8 @@ mod tests {
     #[test]
     fn answer_lines_round_trip() {
         for a in answers() {
-            let line = answer_to_line(&a);
+            let mut line = String::new();
+            answer_to_line(&a, &mut line);
             assert_eq!(parse_answer_line(&line).unwrap(), a, "{line}");
         }
     }

@@ -199,12 +199,10 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
             .round_trip(&endpoint, src, &http, SimTime::from_millis(send_at))
             .expect("registered endpoint, no fault plan");
         let done = send_at + rt.as_millis();
-        let hits = cache_flags(&resp);
         let batch = matches!(request, ServeRequest::Batch(_));
-        let answers = match ServeResponse::from_http(&resp, batch) {
-            Ok(r) => r.answers().to_vec(),
-            Err(_) => Vec::new(),
-        };
+        let parsed = ServeResponse::from_http(&resp, batch);
+        let answers = parsed.as_ref().map_or(&[][..], ServeResponse::answers);
+        let mut hits = cache_flags(&resp);
         for (i, q) in request.queries().iter().enumerate() {
             let outcome = answers
                 .get(i)
@@ -217,7 +215,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
                     shard: shard_id,
                     endpoint: endpoint.clone(),
                     outcome,
-                    cache_hit: hits.get(i).copied().unwrap_or(false),
+                    cache_hit: hits.next().unwrap_or(false),
                     duration_ms: done - at_ms,
                 },
             });
@@ -227,7 +225,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
                 at: SimTime::from_millis(done),
                 kind: EventKind::CacheEvicted {
                     shard: shard_id,
-                    key,
+                    key: key.to_string(),
                 },
             });
         }

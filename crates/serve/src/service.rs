@@ -77,11 +77,13 @@ impl PlanService {
                 self.costs.miss_ms + rng.gen_range(0..=self.costs.miss_jitter_ms)
             };
         }
-        let flags = hits
-            .iter()
-            .map(|&h| if h { "h" } else { "m" })
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut flags = String::with_capacity(2 * hits.len());
+        for (i, &hit) in hits.iter().enumerate() {
+            if i > 0 {
+                flags.push(',');
+            }
+            flags.push(if hit { 'h' } else { 'm' });
+        }
         let mut http = response.to_http().with_header(CACHE_HEADER, flags);
         let evicted = self.router.drain_evicted();
         if !evicted.is_empty() {
@@ -101,17 +103,19 @@ impl Service for PlanService {
     }
 }
 
-/// Parses the `x-cache` header back to per-query flags (empty when the
-/// header is absent, e.g. on an error response).
-pub fn cache_flags(resp: &Response) -> Vec<bool> {
+/// Reads the `x-cache` header back as per-query flags, in envelope
+/// order (none when the header is absent, e.g. on an error response).
+pub fn cache_flags(resp: &Response) -> impl Iterator<Item = bool> + '_ {
     resp.header(CACHE_HEADER)
-        .map(|v| v.split(',').map(|f| f == "h").collect())
-        .unwrap_or_default()
+        .into_iter()
+        .flat_map(|v| v.split(','))
+        .map(|f| f == "h")
 }
 
-/// Parses the `x-evicted` header back to evicted cache keys.
-pub fn evicted_keys(resp: &Response) -> Vec<String> {
+/// Reads the `x-evicted` header back as evicted cache keys, in eviction
+/// order.
+pub fn evicted_keys(resp: &Response) -> impl Iterator<Item = &str> {
     resp.header(EVICTED_HEADER)
-        .map(|v| v.split(',').map(str::to_string).collect())
-        .unwrap_or_default()
+        .into_iter()
+        .flat_map(|v| v.split(','))
 }

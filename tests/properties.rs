@@ -903,3 +903,45 @@ fn noisy_rendering_matches_back_to_its_own_canonical_form() {
         "matcher picked the right sibling only {correct}/{total} times"
     );
 }
+
+// ---- trace: exemplar admission ----------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Offering only the traces the reservoir admits leaves it exactly as
+    /// offering every trace does — at every step, for any capacity, under
+    /// heavy duration and end-time ties.
+    #[test]
+    fn offering_only_admitted_traces_matches_offering_all(
+        offers in proptest::collection::vec((0usize..3, 0u64..6, 0u64..8), 0..60),
+    ) {
+        use decoding_divide::bqt::trace::{ExemplarReservoir, Span, SpanKind, Trace};
+        for k in [0usize, 1, 3] {
+            let mut all = ExemplarReservoir::new(k);
+            let mut gated = ExemplarReservoir::new(k);
+            for (seq, &(endpoint, duration_ms, start_ms)) in offers.iter().enumerate() {
+                let endpoint = ["isp/a", "isp/b", "isp/c"][endpoint];
+                let end_ms = start_ms + duration_ms;
+                let seq = seq as u64 + 1;
+                let trace = Trace {
+                    tag: seq,
+                    endpoint: endpoint.to_string(),
+                    root: Span {
+                        kind: SpanKind::Serve,
+                        label: String::new(),
+                        start_ms,
+                        end_ms,
+                        children: Vec::new(),
+                    },
+                };
+                if gated.admits(endpoint, duration_ms, end_ms, seq) {
+                    gated.offer(trace.clone(), end_ms, seq);
+                }
+                all.offer(trace, end_ms, seq);
+                prop_assert_eq!(gated.csv(), all.csv());
+            }
+            prop_assert_eq!(gated.into_set(), all.into_set());
+        }
+    }
+}
